@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench bench-hotpath bench-hotpath-smoke bench-serve-smoke
+.PHONY: check build test race vet fmt lint fuzz fuzz-smoke bench perfbench-test bench-serve-smoke
 
-check: fmt vet lint build test race fuzz-smoke bench-hotpath-smoke bench-serve-smoke
+check: fmt vet lint build test race fuzz-smoke perfbench-test bench-serve-smoke
 
 build:
 	$(GO) build ./...
@@ -22,8 +22,9 @@ vet:
 	$(GO) vet ./...
 
 # Repo-invariant linter (cmd/eprelint): CFG edges only written through
-# the marking helpers, deterministic pass bodies (no wall clock, no
-# map-order-dependent output), scratch-arena borrows always released.
+# the marking helpers, instructions only constructed by internal/ir,
+# deterministic pass bodies (no wall clock, no map-order-dependent
+# output).
 # Runs beside go vet; both are part of `check`.
 lint:
 	$(GO) run ./cmd/eprelint .
@@ -60,30 +61,20 @@ fuzz-smoke:
 
 # Performance tracking: Go micro-benchmarks, the serve/table1 bench
 # (single-flight dedup assertion, analysis-cache counts into
-# BENCH_passmgr.json, hot-path allocation profile into
-# BENCH_hotpath.json), and the loadgen corpus replay that owns
+# BENCH_passmgr.json), and the loadgen corpus replay that owns
 # BENCH_serve.json (single/batch/warm-restart scenarios with HDR
-# latency histograms and counter deltas).
+# latency histograms and counter deltas).  End-to-end and per-layer
+# measurement lives in perfbench/ (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/epre bench -passmgr-out BENCH_passmgr.json \
-		-hotpath-out BENCH_hotpath.json
+	$(GO) run ./cmd/epre bench -passmgr-out BENCH_passmgr.json
 	$(GO) run ./cmd/epre loadgen -out BENCH_serve.json
 
-# Hot-path allocation report alone, in short mode (quick regression
-# probe: a few optimizer runs per level, pooled vs pool-disabled).
-bench-hotpath:
-	$(GO) run ./cmd/epre bench -out /dev/null -passmgr-out '' -requests 8 \
-		-concurrency 4 -parallel 2 -hotpath-out BENCH_hotpath.json -hotpath-iters 3
-
-# Hot-path smoke, part of `check`: one measurement iteration per level,
-# report discarded.  The run exits nonzero unless the pooled and
-# pool-ablated pipelines emit byte-identical ILOC at every level, so
-# this is the determinism assertion, not a timing measurement —
-# numbers land in BENCH_hotpath.json via `make bench-hotpath`.
-bench-hotpath-smoke:
-	$(GO) run ./cmd/epre bench -out /dev/null -passmgr-out '' -requests 1 \
-		-concurrency 1 -hotpath-out /dev/null -hotpath-iters 1
+# The benchmark harness is its own module, so the root build/vet/test
+# never compiles it; this keeps it building against the current
+# program API.  Part of `check`.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serve-tier smoke, part of `check`: a tiny loadgen replay through the
 # single, batch and warm-restart scenarios with response verification

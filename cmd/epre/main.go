@@ -118,10 +118,9 @@ func usage(w io.Writer) {
                      per routine: static insert/eliminate counts at the
                      PRE position and dynamic ops at the partial level
   epre bench [-out report.json] [-passmgr-out BENCH_passmgr.json]
-             [-hotpath-out BENCH_hotpath.json] [-hotpath-iters N]
              [-requests N] [-concurrency N] [-parallel N]
              [-cpuprofile f] [-memprofile f]
-                     serve-mode, analysis-cache and hot-path benchmarks
+                     serve-mode and analysis-cache benchmarks
   epre loadgen [-out BENCH_serve.json] [-addr URL] [-requests N]
                [-workers N] [-qps R] [-batch N] [-level L]
                [-corpus progen|suite] [-corpus-seed N] [-corpus-n N]

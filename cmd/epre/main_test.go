@@ -137,10 +137,8 @@ func TestBenchWritesReport(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_serve.json")
 	passMgrOut := filepath.Join(dir, "BENCH_passmgr.json")
-	hotpathOut := filepath.Join(dir, "BENCH_hotpath.json")
 	code, stdout, stderr := runEpre(t, "bench",
 		"-out", out, "-passmgr-out", passMgrOut,
-		"-hotpath-out", hotpathOut, "-hotpath-iters", "1",
 		"-requests", "8", "-concurrency", "4", "-parallel", "2")
 	if code != 0 {
 		t.Fatalf("bench failed: %s", stderr)
@@ -206,41 +204,6 @@ func TestBenchWritesReport(t *testing.T) {
 		t.Errorf("implausible passmgr totals: %+v", pm.Total)
 	}
 
-	hpData, err := os.ReadFile(hotpathOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hp struct {
-		Routine string `json:"routine"`
-		Iters   int    `json:"iters"`
-		Levels  []struct {
-			Level  string `json:"level"`
-			Pooled struct {
-				NsPerOp     float64 `json:"ns_per_op"`
-				AllocsPerOp float64 `json:"allocs_per_op"`
-			} `json:"pooled"`
-			PoolDisabled struct {
-				AllocsPerOp float64 `json:"allocs_per_op"`
-			} `json:"pool_disabled"`
-			AllocReductionPct float64 `json:"alloc_reduction_pct"`
-			IdenticalOutput   bool    `json:"identical_output"`
-		} `json:"levels"`
-	}
-	if err := json.Unmarshal(hpData, &hp); err != nil {
-		t.Fatalf("hotpath report is not JSON: %v\n%s", err, hpData)
-	}
-	if hp.Routine == "" || hp.Iters != 1 || len(hp.Levels) != 4 {
-		t.Errorf("implausible hotpath report: routine=%q iters=%d levels=%d",
-			hp.Routine, hp.Iters, len(hp.Levels))
-	}
-	for _, row := range hp.Levels {
-		if !row.IdenticalOutput {
-			t.Errorf("hotpath %s: pooled output differs from ablated", row.Level)
-		}
-		if row.Pooled.NsPerOp <= 0 || row.Pooled.AllocsPerOp <= 0 || row.PoolDisabled.AllocsPerOp <= 0 {
-			t.Errorf("hotpath %s: empty measurement: %+v", row.Level, row)
-		}
-	}
 }
 
 // TestProfileFlags: -cpuprofile/-memprofile write non-empty pprof

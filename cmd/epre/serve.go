@@ -129,8 +129,6 @@ func cmdBench(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	out := fs.String("out", "", "serve/table1 report file (empty to skip writing; BENCH_serve.json is produced by `epre loadgen`)")
 	passMgrOut := fs.String("passmgr-out", "BENCH_passmgr.json", "pass-manager/analysis-cache report file (empty to skip)")
-	hotpathOut := fs.String("hotpath-out", "BENCH_hotpath.json", "hot-path allocation report file (empty to skip)")
-	hotpathIters := fs.Int("hotpath-iters", 10, "optimizer runs per hot-path measurement")
 	requests := fs.Int("requests", 200, "optimize requests to issue")
 	concurrency := fs.Int("concurrency", 16, "concurrent clients")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "table1 worker count to compare against serial")
@@ -164,11 +162,6 @@ func cmdBench(args []string, stdout io.Writer) (err error) {
 	}
 	if *passMgrOut != "" {
 		if err := benchPassMgr(*passMgrOut, stdout); err != nil {
-			return err
-		}
-	}
-	if *hotpathOut != "" {
-		if err := benchHotpath(*hotpathOut, *hotpathIters, stdout); err != nil {
 			return err
 		}
 	}

@@ -2,9 +2,9 @@
 // over a module tree and reports findings in the familiar
 // file:line:col format.  It enforces the project conventions go vet
 // cannot: CFG edge lists are only written through the marking helpers,
-// pass bodies stay deterministic (no wall clock, no map-iteration
-// order reaching output), and scratch-arena borrows are always
-// released.  Exit status: 0 clean, 1 findings, 2 usage or parse error.
+// only internal/ir constructs instructions, and pass bodies stay
+// deterministic (no wall clock, no map-iteration order reaching
+// output).  Exit status: 0 clean, 1 findings, 2 usage or parse error.
 //
 //	eprelint            # lint the module rooted at the cwd
 //	eprelint path/to/repo

@@ -61,9 +61,6 @@ type Cache struct {
 	loops   *cfg.LoopInfo
 	live    *dataflow.Liveness
 
-	// Reusable worklist buffers the passes borrow; see scratch.go.
-	scratch scratch
-
 	counts BuildCounts
 }
 

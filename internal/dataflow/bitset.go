@@ -25,13 +25,9 @@ func NewBitSet(n int) *BitSet {
 // by three bulk allocations (the headers, one flat word array, and the
 // pointer table) instead of nb separate NewBitSet calls.  The members
 // are ordinary BitSets in every observable way; their word slices are
-// disjoint views of the shared backing, so even handing individual
-// members to PutScratch is safe.
+// disjoint, capacity-capped views of the shared backing.
 func NewBitSetFamily(nb, n int) []*BitSet {
 	w := (n + 63) / 64
-	if w == 0 {
-		w = 1
-	}
 	hdrs := make([]BitSet, nb)
 	words := make([]uint64, nb*w)
 	ptrs := make([]*BitSet, nb)
@@ -74,20 +70,6 @@ func (s *BitSet) trim() {
 	if extra := s.n & 63; extra != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] &= (1 << uint(extra)) - 1
 	}
-}
-
-// Reset re-dimensions the set to capacity n and empties it, reusing
-// the backing array when it is large enough.  A Reset set is
-// indistinguishable from a fresh NewBitSet(n).
-func (s *BitSet) Reset(n int) {
-	w := (n + 63) / 64
-	if cap(s.words) < w {
-		s.words = make([]uint64, w)
-	} else {
-		s.words = s.words[:w]
-		clear(s.words)
-	}
-	s.n = n
 }
 
 // Copy returns an independent duplicate of the set.

@@ -4,40 +4,6 @@ import (
 	"testing"
 )
 
-func TestBitSetReset(t *testing.T) {
-	s := NewBitSet(100)
-	s.Set(3)
-	s.Set(99)
-
-	// Shrinking reuses the backing array and empties the set.
-	s.Reset(64)
-	if s.Len() != 64 {
-		t.Fatalf("Len = %d, want 64", s.Len())
-	}
-	if !s.Empty() {
-		t.Fatalf("Reset set not empty: %v", s)
-	}
-	s.Set(63)
-	if !s.Has(63) || s.Count() != 1 {
-		t.Fatalf("set after Reset broken: %v", s)
-	}
-
-	// Growing past capacity reallocates; still empty.
-	s.Reset(1000)
-	if s.Len() != 1000 || !s.Empty() {
-		t.Fatalf("grow Reset: len=%d empty=%v", s.Len(), s.Empty())
-	}
-
-	// A Reset set behaves exactly like a fresh one under SetAll/Equal.
-	s.Reset(70)
-	s.SetAll()
-	fresh := NewBitSet(70)
-	fresh.SetAll()
-	if !s.Equal(fresh) {
-		t.Fatalf("Reset+SetAll != NewBitSet+SetAll")
-	}
-}
-
 func TestUnionDiff(t *testing.T) {
 	s := NewBitSet(130)
 	u := NewBitSet(130)
@@ -56,39 +22,37 @@ func TestUnionDiff(t *testing.T) {
 	}
 }
 
-func TestScratchPoolRoundTrip(t *testing.T) {
-	if !PoolEnabled() {
-		t.Fatal("pool disabled at test start")
-	}
-	s := GetScratch(100)
-	if s.Len() != 100 || !s.Empty() {
-		t.Fatalf("GetScratch: len=%d empty=%v", s.Len(), s.Empty())
-	}
-	s.Set(42)
-	PutScratch(s)
-	// A recycled set must come back empty regardless of what the
-	// previous borrower left in it.
-	r := GetScratch(100)
-	if !r.Empty() {
-		t.Fatalf("recycled scratch not empty: %v", r)
-	}
-	PutScratch(r)
-	PutScratch(nil) // must be a no-op
-}
-
-func TestScratchPoolDisabled(t *testing.T) {
-	prev := SetPoolEnabled(false)
-	defer SetPoolEnabled(prev)
-	if PoolEnabled() {
-		t.Fatal("PoolEnabled after disable")
-	}
-	s := GetScratch(64)
-	if s.Len() != 64 || !s.Empty() {
-		t.Fatalf("disabled GetScratch: len=%d empty=%v", s.Len(), s.Empty())
-	}
-	PutScratch(s) // dropped, not pooled
-	if SetPoolEnabled(false) {
-		t.Error("SetPoolEnabled reported the pool enabled; want disabled")
+// TestBitSetFamilyIsolated checks that the members of one bulk family
+// share no bits: writing every word of member i, including the tail
+// word holding element n-1, leaves both neighbours empty and i's
+// count exact.
+func TestBitSetFamilyIsolated(t *testing.T) {
+	const nb = 3
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		fam := NewBitSetFamily(nb, n)
+		if len(fam) != nb {
+			t.Fatalf("n=%d: family has %d members, want %d", n, len(fam), nb)
+		}
+		full := NewBitSet(n)
+		full.SetAll()
+		i := 1
+		fam[i].SetAll()
+		fam[i].Union(full)
+		fam[i].CopyFrom(full)
+		if n > 0 {
+			fam[i].Set(n - 1)
+		}
+		for _, j := range []int{i - 1, i + 1} {
+			if fam[j].Len() != n || !fam[j].Empty() || fam[j].Count() != 0 {
+				t.Errorf("n=%d: neighbour %d = %v (len %d), want empty", n, j, fam[j], fam[j].Len())
+			}
+		}
+		if got := fam[i].Count(); got != n {
+			t.Errorf("n=%d: Count = %d, want %d", n, got, n)
+		}
+		if !fam[i].Equal(full) {
+			t.Errorf("n=%d: member %v != NewBitSet+SetAll %v", n, fam[i], full)
+		}
 	}
 }
 
@@ -127,30 +91,4 @@ func BenchmarkBitSetForEach(b *testing.B) {
 		x.ForEach(func(e int) { sum += e })
 	}
 	_ = sum
-}
-
-func BenchmarkBitSetReset(b *testing.B) {
-	x, _ := benchSets(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.Reset(1024)
-	}
-}
-
-// BenchmarkScratchPool measures a borrow/return round trip against a
-// fresh allocation of the same size.
-func BenchmarkScratchPool(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := GetScratch(1024)
-			PutScratch(s)
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = NewBitSet(1024)
-		}
-	})
 }

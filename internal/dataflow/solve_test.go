@@ -51,7 +51,6 @@ func universeFor(t *testing.T, src string) (*ir.Func, *dataflow.Universe, map[st
 	t.Helper()
 	f := ir.MustParseFunc(src)
 	u := dataflow.BuildUniverse(f)
-	t.Cleanup(u.Release)
 	byName := map[string]*ir.Block{}
 	for _, b := range f.Blocks {
 		byName[b.Name] = b
@@ -59,7 +58,7 @@ func universeFor(t *testing.T, src string) (*ir.Func, *dataflow.Universe, map[st
 	return f, u, byName
 }
 
-// perBlock allocates one plain (unpooled) vector per block.
+// perBlock allocates one separate NewBitSet per block.
 func perBlock(nb, n int) []*dataflow.BitSet {
 	sets := make([]*dataflow.BitSet, nb)
 	for i := range sets {

@@ -2,8 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -227,134 +225,4 @@ func importLocalName(f *ast.File, path string) string {
 		return path
 	}
 	return ""
-}
-
-// borrowKinds maps the arena borrow methods to their release
-// counterparts.
-var borrowKinds = map[string]string{
-	"BorrowInts":   "ReturnInts",
-	"BorrowRegs":   "ReturnRegs",
-	"BorrowBlocks": "ReturnBlocks",
-	"BorrowBools":  "ReturnBools",
-}
-
-// checkScratch enforces the arena discipline per function: every
-// Borrow* result must be bound to a variable, and that variable must
-// either be passed to the matching Return* call (directly or in a
-// defer) or handed to the caller via a return statement (ownership
-// transfer — the caller releases, as canonicalDsts in internal/pre
-// does).
-func (c *checker) checkScratch(f *ast.File) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		type borrow struct {
-			pos  token.Pos
-			kind string // Borrow method name
-		}
-		borrowed := map[string]borrow{}
-		released := map[string]bool{}
-
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
-					return true
-				}
-				id, ok := n.Lhs[0].(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if kind := borrowCallKind(n.Rhs[0]); kind != "" {
-					borrowed[id.Name] = borrow{pos: n.Pos(), kind: kind}
-				}
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				for _, ret := range borrowKinds {
-					if sel.Sel.Name == ret && len(n.Args) == 1 {
-						if id, ok := n.Args[0].(*ast.Ident); ok {
-							released[id.Name] = true
-						}
-					}
-				}
-				// A bare Borrow call whose result is not assigned can
-				// never be returned to the arena.
-				if kind := borrowCallKind(n); kind != "" && !isAssignedBorrow(fd.Body, n) {
-					c.report(n.Pos(), "scratch",
-						"%s result is not bound to a variable, so it can never be released", kind)
-				}
-			case *ast.ReturnStmt:
-				for _, res := range n.Results {
-					ast.Inspect(res, func(m ast.Node) bool {
-						if id, ok := m.(*ast.Ident); ok {
-							released[id.Name] = true // ownership transfer
-						}
-						return true
-					})
-				}
-			}
-			return true
-		})
-
-		names := make([]string, 0, len(borrowed))
-		for name := range borrowed {
-			names = append(names, name)
-		}
-		// Canonical report order (the linter obeys its own maporder rule).
-		sort.Strings(names)
-		for _, name := range names {
-			b := borrowed[name]
-			if !released[name] {
-				c.report(b.pos, "scratch",
-					"%q borrowed via %s is never released; defer the matching %s or return it to transfer ownership", name, b.kind, borrowKinds[b.kind])
-			}
-		}
-	}
-}
-
-// borrowCallKind returns the Borrow* method name when e is a call to
-// one (possibly re-sliced, as in `ac.BorrowBlocks(n)[:0]`), else "".
-func borrowCallKind(e ast.Expr) string {
-	if sl, ok := e.(*ast.SliceExpr); ok {
-		e = sl.X
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	if _, ok := borrowKinds[sel.Sel.Name]; ok {
-		return sel.Sel.Name
-	}
-	return ""
-}
-
-// isAssignedBorrow reports whether the given borrow call expression is
-// the right-hand side of some single-assignment in body (directly or
-// under a re-slice).
-func isAssignedBorrow(body *ast.BlockStmt, target *ast.CallExpr) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		rhs := as.Rhs[0]
-		if sl, ok := rhs.(*ast.SliceExpr); ok {
-			rhs = sl.X
-		}
-		if rhs == target {
-			found = true
-		}
-		return true
-	})
-	return found
 }

@@ -1,7 +1,7 @@
 // Package lint is the repo-invariant linter behind cmd/eprelint: a
 // small, stdlib-only (go/parser + go/ast, no go/packages) static
 // analyzer for the project conventions the Go compiler and go vet
-// cannot see.  It enforces four invariants, each scoped to the
+// cannot see.  It enforces three invariants, each scoped to the
 // packages where it is a correctness property rather than a style
 // preference:
 //
@@ -26,13 +26,6 @@
 //     diverge, which breaks the golden-output tests, the serve cache,
 //     and the differential fuzzer's shrinker.
 //
-//   - scratch: a buffer borrowed from the analysis cache's scratch
-//     arena (BorrowInts/BorrowRegs/BorrowBlocks/BorrowBools) must be
-//     released with the matching Return call in the same function, or
-//     handed to the caller via return (ownership transfer, DESIGN.md
-//     §12).  A borrow that simply goes out of scope silently defeats
-//     the arena.
-//
 // False positives are suppressed inline with a directive comment on
 // the offending line or the line above:
 //
@@ -56,7 +49,7 @@ import (
 // Diagnostic is one linter finding.
 type Diagnostic struct {
 	Pos     token.Position
-	Check   string // "cfgwrite", "irconstruct", "timenow", "maporder", "scratch"
+	Check   string // "cfgwrite", "irconstruct", "timenow", "maporder"
 	Message string
 }
 
@@ -65,7 +58,7 @@ func (d Diagnostic) String() string {
 }
 
 // nonPassPackages are the internal packages whose files are NOT "pass
-// bodies", each exempt from the determinism/scratch checks for a
+// bodies", each exempt from the determinism checks for a
 // stated reason.  Every other internal/ package is a pass package by
 // default, so a newly added optimization backend (internal/lcm,
 // internal/lospre, ...) is linted the moment it exists — the old
@@ -82,14 +75,14 @@ var nonPassPackages = map[string]bool{
 	"internal/minift":   true, // frontend: compiles source, runs before the pipeline
 	// internal/pl0 and internal/lang are deliberately NOT here: the
 	// PL/0 front end and the language registry hold the determinism
-	// rules (no wall clock, no map-order iteration, balanced scratch)
-	// with zero suppressions, so they stay pass packages.
+	// rules (no wall clock, no map-order iteration) with zero
+	// suppressions, so they stay pass packages.
 	"internal/progen": true, // random-program generator: seeded, runs outside the pipeline
 	"internal/suite":  true, // benchmark harness: measures time and renders tables
 }
 
 // isPassPackage reports whether pkgRel holds pass bodies subject to
-// the determinism and scratch checks.
+// the determinism checks.
 func isPassPackage(pkgRel string) bool {
 	return strings.HasPrefix(pkgRel, "internal/") && !nonPassPackages[pkgRel]
 }
@@ -115,7 +108,6 @@ func File(fset *token.FileSet, f *ast.File, pkgRel string) []Diagnostic {
 	if isPassPackage(pkgRel) {
 		c.checkTimeNow(f)
 		c.checkMapOrder(f)
-		c.checkScratch(f)
 	}
 	sort.Slice(c.diags, func(i, j int) bool {
 		a, b := c.diags[i].Pos, c.diags[j].Pos

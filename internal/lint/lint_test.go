@@ -3,7 +3,6 @@ package lint
 import (
 	"go/parser"
 	"go/token"
-	"strings"
 	"testing"
 )
 
@@ -158,60 +157,6 @@ func f(s []int) []int {
 	return out
 }`
 	wantChecks(t, lintSrc(t, "internal/gvn", src))
-}
-
-func TestScratchUnreleasedFlagged(t *testing.T) {
-	src := `package ssa
-func f(ac *Cache, n int) {
-	buf := ac.BorrowInts(n)
-	_ = buf
-}`
-	wantChecks(t, lintSrc(t, "internal/ssa", src), "scratch")
-}
-
-func TestScratchDeferReleaseAllowed(t *testing.T) {
-	src := `package ssa
-func f(ac *Cache, n int) {
-	buf := ac.BorrowInts(n)
-	defer ac.ReturnInts(buf)
-	work := ac.BorrowBlocks(n)[:0]
-	_ = work
-	ac.ReturnBlocks(work)
-}`
-	wantChecks(t, lintSrc(t, "internal/ssa", src))
-}
-
-func TestScratchOwnershipTransferAllowed(t *testing.T) {
-	// Returning the borrowed buffer hands ownership to the caller
-	// (canonicalDsts-style) — not a leak.
-	src := `package pre
-func f(ac *Cache, n int) []int {
-	buf := ac.BorrowInts(n)
-	return buf
-}`
-	wantChecks(t, lintSrc(t, "internal/pre", src))
-}
-
-func TestScratchMismatchedKindFlagged(t *testing.T) {
-	src := `package ssa
-func f(ac *Cache, n int) {
-	buf := ac.BorrowBools(n)
-	ac.ReturnInts(nil)
-	_ = buf
-}`
-	wantChecks(t, lintSrc(t, "internal/ssa", src), "scratch")
-}
-
-func TestScratchUnboundBorrowFlagged(t *testing.T) {
-	src := `package ssa
-func f(ac *Cache, n int) {
-	use(ac.BorrowInts(n))
-}`
-	diags := lintSrc(t, "internal/ssa", src)
-	wantChecks(t, diags, "scratch")
-	if !strings.Contains(diags[0].Message, "not bound") {
-		t.Errorf("unexpected message: %s", diags[0].Message)
-	}
 }
 
 // TestPassPackageDenylist pins the coverage inversion: internal/

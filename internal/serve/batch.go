@@ -21,12 +21,11 @@ type BatchRequest struct {
 // BatchDefaults are request fields applied to items that leave them
 // empty.
 type BatchDefaults struct {
-	Lang   string `json:"lang,omitempty"`
-	Format string `json:"format,omitempty"`
-	Level  string `json:"level,omitempty"`
-	GVN    string `json:"gvn,omitempty"`
-	PRE    string `json:"pre,omitempty"`
-	Check  bool   `json:"check,omitempty"`
+	Lang  string `json:"lang,omitempty"`
+	Level string `json:"level,omitempty"`
+	GVN   string `json:"gvn,omitempty"`
+	PRE   string `json:"pre,omitempty"`
+	Check bool   `json:"check,omitempty"`
 }
 
 // BatchItemResult is one item's outcome.  Exactly one of Error or the
@@ -217,9 +216,6 @@ func (s *Server) forwardSubBatch(ctx context.Context, owner string, req *BatchRe
 func applyDefaults(item *OptimizeRequest, d *BatchDefaults) {
 	if item.Lang == "" {
 		item.Lang = d.Lang
-	}
-	if item.Format == "" {
-		item.Format = d.Format
 	}
 	if item.Level == "" {
 		item.Level = d.Level

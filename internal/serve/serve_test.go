@@ -408,8 +408,8 @@ func TestBadRequests(t *testing.T) {
 	if code, _, raw := postOptimize(t, ts, OptimizeRequest{Source: "func ("}); code != http.StatusBadRequest {
 		t.Errorf("broken source: status %d %s", code, raw)
 	}
-	if code, _, _ := postOptimize(t, ts, OptimizeRequest{Source: serveSrc, Format: "pascal"}); code != http.StatusBadRequest {
-		t.Errorf("unknown format: status %d", code)
+	if code, _, _ := postOptimize(t, ts, OptimizeRequest{Source: serveSrc, Lang: "pascal"}); code != http.StatusBadRequest {
+		t.Errorf("unknown language: status %d", code)
 	}
 
 	resp, err = ts.Client().Get(ts.URL + "/optimize")

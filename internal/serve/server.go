@@ -317,11 +317,7 @@ func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	langName := req.Lang
-	if langName == "" {
-		langName = req.Format // legacy field
-	}
-	prog, langName, err := parseSource(req.Source, langName)
+	prog, langName, err := parseSource(req.Source, req.Lang)
 	if err != nil {
 		return nil, err
 	}

@@ -31,9 +31,6 @@ type OptimizeRequest struct {
 	// language is a cache-key dimension: the same canonical ILOC
 	// arriving through two front ends occupies two cache slots.
 	Lang string `json:"lang,omitempty"`
-	// Format is the legacy spelling of Lang, kept for old clients; Lang
-	// wins when both are set.
-	Format string `json:"format,omitempty"`
 	// Level is the optimization level name (default "reassoc").
 	Level string `json:"level,omitempty"`
 	// GVN selects the value-numbering backend: "awz" (default) or

@@ -51,8 +51,7 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 
 	nr := f.NumRegs()
 	defBlocks := make([][]*ir.Block, nr) // blocks defining each register
-	hasDef := ac.BorrowBools(nr)
-	defer ac.ReturnBools(hasDef)
+	hasDef := make([]bool, nr)
 	for _, b := range f.Blocks {
 		for ii := range b.Instrs {
 			in := b.Instr(ii)
@@ -75,14 +74,14 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 	}
 
 	// Insert φ-nodes at iterated dominance frontiers.  The per-variable
-	// placed/on-worklist sets are generation-stamped block tables
-	// borrowed from the analysis arena — one pair of []int serves every
-	// register instead of two fresh maps each.
+	// placed/on-worklist sets are generation-stamped block tables — one
+	// pair of []int serves every register instead of two fresh maps
+	// each.
 	phiFor := map[*ir.Instr]ir.Reg{} // φ instr → original variable
 	nb := len(f.Blocks)
-	placedAt := ac.BorrowInts(nb)
-	onWorkAt := ac.BorrowInts(nb)
-	work := ac.BorrowBlocks(nb)[:0]
+	placedAt := make([]int, nb)
+	onWorkAt := make([]int, nb)
+	work := make([]*ir.Block, 0, nb)
 	for i := range placedAt {
 		placedAt[i] = -1
 		onWorkAt[i] = -1
@@ -120,9 +119,6 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 			}
 		}
 	}
-	ac.ReturnInts(placedAt)
-	ac.ReturnInts(onWorkAt)
-	ac.ReturnBlocks(work)
 
 	// Rename with a dominator-tree walk.  tops[v] is the innermost SSA
 	// name for v (NoReg when v has no binding); shadowed bindings live
