@@ -49,8 +49,8 @@ fuzz:
 # against the unoptimized reference, then 200 more in each
 # cross-backend mode (-gvn-diff: the GVN-carrying levels run under
 # both the AWZ and the precise backend; -pre-diff: the PRE-carrying
-# levels run under drechsler, lcm and lospre — the independent
-# implementations oracle each other).  Any miscompile, verifier
+# levels run under drechsler and lospre — each backend is checked
+# against the unoptimized reference on its own).  Any miscompile, verifier
 # reject, panic, or runaway exits nonzero with a shrunk reproducer.
 fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 1 -n 200 -workers 4
@@ -59,16 +59,11 @@ fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 3000 -n 150 -workers 4 -call-heavy \
 		-gvn-diff -pre-diff
 
-# Performance tracking: Go micro-benchmarks, the serve/table1 bench
-# (single-flight dedup assertion, analysis-cache counts into
-# BENCH_passmgr.json), and the loadgen corpus replay that owns
-# BENCH_serve.json (single/batch/warm-restart scenarios with HDR
-# latency histograms and counter deltas).  End-to-end and per-layer
-# measurement lives in perfbench/ (see perfbench/README.md).
+# Go micro-benchmarks, one iteration each so they stay compiling and
+# running.  End-to-end and per-layer measurement lives in perfbench/
+# (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/epre bench -passmgr-out BENCH_passmgr.json
-	$(GO) run ./cmd/epre loadgen -out BENCH_serve.json
 
 # The benchmark harness is its own module, so the root build/vet/test
 # never compiles it; this keeps it building against the current
@@ -80,8 +75,8 @@ perfbench-test:
 # single, batch and warm-restart scenarios with response verification
 # on — every served ILOC must be byte-identical to a direct in-process
 # core optimization, across the memory-cache, batch and disk-warmed
-# paths, with zero request errors.  Report discarded; numbers land in
-# BENCH_serve.json via `make bench`.
+# paths, with zero request errors.  Report discarded; serve-tier
+# numbers come from perfbench/'s serve workload.
 bench-serve-smoke:
 	$(GO) run ./cmd/epre loadgen -out '' -requests 24 -corpus-n 6 \
 		-workers 4 -batch 6

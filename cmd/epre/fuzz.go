@@ -60,7 +60,7 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 	artifactDir := fs.String("artifact-dir", "", "write failing reproducers into this directory")
 	perPass := fs.Bool("per-pass", false, "re-validate miscompiles pass by pass to name the guilty pass")
 	gvnDiff := fs.Bool("gvn-diff", false, "cross-backend mode: test every GVN-carrying level with both the awz and precise backends")
-	preDiff := fs.Bool("pre-diff", false, "cross-backend mode: test every PRE-carrying level with the drechsler, lcm and lospre backends")
+	preDiff := fs.Bool("pre-diff", false, "cross-backend mode: test every PRE-carrying level with the drechsler and lospre backends")
 	callHeavy := fs.Bool("call-heavy", false, "force the generator's call-heavy shape: dense call sites and depth-two call chains")
 	timeout := fs.Duration("timeout", 0, "overall run deadline (0 = none)")
 	stats := fs.Bool("stats", false, "print expvar-style run metrics")

@@ -24,10 +24,10 @@ import (
 	"repro/internal/suite"
 )
 
-// loadgenReport is the BENCH_serve.json schema written by `epre
-// loadgen`: a deterministic replay of a generated corpus against the
-// optimization service, one entry per scenario, each carrying an
-// HDR-style latency histogram and the server counters the run moved.
+// loadgenReport is the JSON report written by `epre loadgen -out`: a
+// deterministic replay of a generated corpus against the optimization
+// service, one entry per scenario, each carrying an HDR-style latency
+// histogram and the server counters the run moved.
 type loadgenReport struct {
 	Timestamp       string           `json:"timestamp"`
 	Tool            string           `json:"tool"`
@@ -454,7 +454,7 @@ func startLocalServer(cfg serve.Config) (*lgTarget, func(), error) {
 }
 
 // cmdLoadgen replays a deterministic corpus against the optimization
-// service and writes the BENCH_serve.json report.  Without -addr it
+// service and, given -out, writes a JSON report.  Without -addr it
 // runs the standard three-scenario suite against in-process servers:
 // single-endpoint throughput, batch-endpoint throughput over the same
 // schedule, and a warm-restart pass over a persistent cache directory
@@ -462,7 +462,7 @@ func startLocalServer(cfg serve.Config) (*lgTarget, func(), error) {
 // warming).  With -addr it runs one scenario against the given server.
 func cmdLoadgen(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	out := fs.String("out", "BENCH_serve.json", "report file (empty to skip writing)")
+	out := fs.String("out", "", "JSON report file (empty = no report)")
 	addr := fs.String("addr", "", "base URL of an already-running server (empty = in-process scenario suite)")
 	requests := fs.Int("requests", 400, "schedule length, in programs (items)")
 	workers := fs.Int("workers", 16, "concurrent client workers")

@@ -11,14 +11,14 @@ import (
 
 // TestLoadgenWritesReport: the loadgen subcommand runs its in-process
 // scenario suite (single, batch, warm-restart) over a tiny corpus with
-// verification on, and writes the BENCH_serve.json schema with the
+// verification on, and writes the loadgen report schema with the
 // fields the acceptance criteria read: batch speedup, first-pass hit
 // rate after a restart, zero errors.
 func TestLoadgenWritesReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	out := filepath.Join(t.TempDir(), "loadgen.json")
 	code, stdout, stderr := runEpre(t, "loadgen",
 		"-out", out, "-requests", "24", "-corpus-n", "6", "-workers", "4", "-batch", "6")
 	if code != 0 {
@@ -107,7 +107,7 @@ func TestLoadgenOpenLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	out := filepath.Join(t.TempDir(), "loadgen.json")
 	t0 := time.Now()
 	code, _, stderr := runEpre(t, "loadgen",
 		"-out", out, "-requests", "8", "-corpus-n", "2", "-workers", "2",

@@ -11,8 +11,7 @@
 //	epre serve [-addr :8080]                       # optimization service
 //	epre table1 [-parallel N]                      # the paper's Table 1
 //	epre table2                                    # the paper's Table 2
-//	epre bench                                     # service/parallel bench
-//	epre loadgen [-out BENCH_serve.json]           # corpus replay load test
+//	epre loadgen [-out report.json]                # corpus replay load test
 //	epre fuzz [-seed 1] [-n 200] [-level all]      # differential fuzzing
 //	epre example                                   # Figures 2–10 walkthrough
 //	epre levels                                    # list levels and passes
@@ -63,8 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdLint(args[1:], stdout, stderr)
 	case "serve":
 		err = cmdServe(args[1:], stderr)
-	case "bench":
-		err = cmdBench(args[1:], stdout)
 	case "loadgen":
 		err = cmdLoadgen(args[1:], stdout)
 	case "fuzz":
@@ -105,7 +102,7 @@ func usage(w io.Writer) {
   epre serve [-addr :8080] [-workers N] [-queue N] [-cache N]
              [-timeout 30s]   run the concurrent optimization service
   epre table1 [-parallel N] [-gvn awz|precise]
-              [-pre drechsler|lcm|lospre] [-passstats]
+              [-pre drechsler|lospre] [-passstats]
               [-cpuprofile f] [-memprofile f]
                      regenerate the paper's Table 1 over the suite
   epre table2        regenerate the paper's Table 2 (code expansion)
@@ -114,21 +111,17 @@ func usage(w io.Writer) {
                      routine: congruence classes on identical SSA and
                      dynamic ops at the distribution level
   epre precompare [-parallel N]
-                     compare the drechsler, lcm and lospre PRE backends
+                     compare the drechsler and lospre PRE backends
                      per routine: static insert/eliminate counts at the
                      PRE position and dynamic ops at the partial level
-  epre bench [-out report.json] [-passmgr-out BENCH_passmgr.json]
-             [-requests N] [-concurrency N] [-parallel N]
-             [-cpuprofile f] [-memprofile f]
-                     serve-mode and analysis-cache benchmarks
-  epre loadgen [-out BENCH_serve.json] [-addr URL] [-requests N]
+  epre loadgen [-out report.json] [-addr URL] [-requests N]
                [-workers N] [-qps R] [-batch N] [-level L]
                [-corpus progen|suite] [-corpus-seed N] [-corpus-n N]
                [-seed N] [-verify=false]
                      deterministic corpus replay against the service:
                      single/batch/warm-restart scenarios (or one
                      scenario against -addr), HDR latency histograms
-                     and counter deltas written to BENCH_serve.json
+                     and counter deltas (written to -out if given)
   epre fuzz [-seed N] [-n N] [-level L|all] [-workers N] [-shrink]
             [-artifact-dir DIR] [-per-pass] [-gvn-diff] [-pre-diff]
             [-call-heavy] [-timeout 5m] [-stats]
@@ -136,8 +129,8 @@ func usage(w io.Writer) {
                      reference interpreter at every optimization level
                      (-gvn-diff additionally cross-checks the AWZ and
                      precise GVN backends against each other; -pre-diff
-                     does the same for the drechsler, lcm and lospre
-                     PRE backends)
+                     does the same for the drechsler and lospre PRE
+                     backends)
   epre example       print the Figures 2-10 walkthrough
   epre levels        list optimization levels and passes`)
 }
@@ -370,7 +363,7 @@ func cmdTable1(args []string, stdout io.Writer) (err error) {
 	parallel := fs.Int("parallel", 1, "measure up to N routines concurrently (output is byte-identical to the serial run)")
 	passStats := fs.Bool("passstats", false, "append a per-pass table: applications, changed-bit reports, time, analysis cache misses")
 	gvnName := fs.String("gvn", "", "global value numbering backend (awz|precise; default awz)")
-	preName := fs.String("pre", "", "redundancy elimination backend (drechsler|lcm|lospre; default drechsler)")
+	preName := fs.String("pre", "", "redundancy elimination backend (drechsler|lospre; default drechsler)")
 	prof := addProfileFlags(fs)
 	fs.Parse(args)
 	stopProf, err := prof.start()

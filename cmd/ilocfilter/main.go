@@ -44,9 +44,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilocfilter", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	gvnName := fs.String("gvn", "", "GVN backend selecting the pass the generic \"gvn\" stage runs (awz|precise; default awz)")
-	preName := fs.String("pre", "", "PRE backend selecting the pass the generic \"pre\" stage runs (drechsler|lcm|lospre; default drechsler)")
+	preName := fs.String("pre", "", "PRE backend selecting the pass the generic \"pre\" stage runs (drechsler|lospre; default drechsler)")
 	usage := func() {
-		fmt.Fprintln(stderr, "usage: ilocfilter [-gvn awz|precise] [-pre drechsler|lcm|lospre] PASS   (reads ILOC on stdin, writes ILOC on stdout)")
+		fmt.Fprintln(stderr, "usage: ilocfilter [-gvn awz|precise] [-pre drechsler|lospre] PASS   (reads ILOC on stdin, writes ILOC on stdout)")
 		fmt.Fprintln(stderr, "passes:")
 		for _, p := range core.AllPasses() {
 			fmt.Fprintf(stderr, "  %s\n", p.Name)

@@ -32,7 +32,7 @@ func TestHelp(t *testing.T) {
 	if code != 2 {
 		t.Errorf("help exit = %d, want 2", code)
 	}
-	for _, want := range []string{"usage: ilocfilter [-gvn awz|precise] [-pre drechsler|lcm|lospre] PASS", "pre", "gvn", "check"} {
+	for _, want := range []string{"usage: ilocfilter [-gvn awz|precise] [-pre drechsler|lospre] PASS", "pre", "gvn", "check"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("help output missing %q:\n%s", want, stderr)
 		}
@@ -178,7 +178,7 @@ func TestPREBackendFlag(t *testing.T) {
 	prog.Fprint(&src)
 	want := runMain(t, prog)
 
-	for _, backend := range []string{"drechsler", "lcm", "lospre"} {
+	for _, backend := range []string{"drechsler", "lospre"} {
 		code, stdout, stderr := runFilter(t, []string{"-pre", backend, "pre"}, src.String())
 		if code != 0 {
 			t.Fatalf("-pre %s pre exited %d: %s", backend, code, stderr)

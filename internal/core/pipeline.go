@@ -19,7 +19,6 @@ import (
 	"repro/internal/dce"
 	"repro/internal/gvn"
 	"repro/internal/ir"
-	"repro/internal/lcm"
 	"repro/internal/lospre"
 	"repro/internal/lvn"
 	"repro/internal/peephole"
@@ -104,7 +103,7 @@ func (b GVNBackend) PassName() string {
 }
 
 // PREBackend selects the algorithm behind the pipeline's redundancy-
-// elimination slot.  All three backends eliminate partial redundancies
+// elimination slot.  Both backends eliminate partial redundancies
 // by inserting computations and rewriting occurrences into copies; they
 // differ in placement strategy and safety envelope.
 type PREBackend string
@@ -115,11 +114,6 @@ const (
 	// with the Mode A naming discipline.  The zero value of PREBackend
 	// behaves as PREDrechsler everywhere.
 	PREDrechsler PREBackend = "drechsler"
-	// PRELCM is Knoop–Rüthing–Steffen lazy code motion
-	// (internal/lcm): computationally optimal like Drechsler–Stadel
-	// but additionally lifetime-optimal — insertions are postponed to
-	// the latest down-safe points, minimizing temp live ranges.
-	PRELCM PREBackend = "lcm"
 	// PRELospre is speculative PRE as a per-expression minimum cut
 	// (internal/lospre): it may insert on paths that never computed
 	// the expression when the frequency model says that is cheaper,
@@ -128,7 +122,7 @@ const (
 )
 
 // PREBackends lists the selectable backends in presentation order.
-var PREBackends = []PREBackend{PREDrechsler, PRELCM, PRELospre}
+var PREBackends = []PREBackend{PREDrechsler, PRELospre}
 
 // ParsePREBackend maps a -pre flag value to a backend; the empty string
 // selects the default (Drechsler–Stadel).
@@ -136,12 +130,10 @@ func ParsePREBackend(s string) (PREBackend, error) {
 	switch s {
 	case "", "drechsler":
 		return PREDrechsler, nil
-	case "lcm":
-		return PRELCM, nil
 	case "lospre":
 		return PRELospre, nil
 	}
-	return "", fmt.Errorf("core: unknown PRE backend %q (want drechsler, lcm or lospre)", s)
+	return "", fmt.Errorf("core: unknown PRE backend %q (want drechsler or lospre)", s)
 }
 
 // orDefault folds the zero value into the default backend.
@@ -154,10 +146,7 @@ func (b PREBackend) orDefault() PREBackend {
 
 // PassName is the pipeline pass implementing this backend.
 func (b PREBackend) PassName() string {
-	switch b.orDefault() {
-	case PRELCM:
-		return "pre-lcm"
-	case PRELospre:
+	if b.orDefault() == PRELospre {
 		return "pre-lospre"
 	}
 	return "pre"
@@ -274,9 +263,6 @@ func AllPasses() []Pass {
 		}},
 		{"pre", nil, func(pc *PassContext) bool {
 			return pre.RunToFixpointWith(pc.Func, pc.Analyses).Mutated()
-		}},
-		{"pre-lcm", nil, func(pc *PassContext) bool {
-			return lcm.RunToFixpointWith(pc.Func, pc.Analyses).Mutated()
 		}},
 		{"pre-lospre", nil, func(pc *PassContext) bool {
 			return lospre.RunToFixpointWith(pc.Func, pc.Analyses).Mutated()

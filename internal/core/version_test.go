@@ -132,6 +132,9 @@ func TestPipelineVersionPREBackend(t *testing.T) {
 			seen[v] = string(g) + "/" + string(p)
 		}
 	}
+	if len(seen) != 4 {
+		t.Errorf("got %d distinct versions over the gvn×pre product, want 2×2 = 4", len(seen))
+	}
 	def := PipelineVersionFor(GVNAWZ, PREDrechsler)
 	if v := PipelineVersionFor(GVNAWZ, ""); v != def {
 		t.Errorf("zero-value PRE backend version %q differs from explicit drechsler %q", v, def)
@@ -145,7 +148,7 @@ func TestPipelineVersionPREBackend(t *testing.T) {
 // PRE slot of the partial level and above; baseline and none are
 // identical across backends.
 func TestPassNamesWithPREBackend(t *testing.T) {
-	for _, pb := range []PREBackend{PRELCM, PRELospre} {
+	for _, pb := range []PREBackend{PRELospre} {
 		for _, l := range append([]Level{LevelNone}, Levels...) {
 			a := PassNamesWith(l, GVNAWZ, PREDrechsler)
 			p := PassNamesWith(l, GVNAWZ, pb)
@@ -178,7 +181,6 @@ func TestParsePREBackend(t *testing.T) {
 	}{
 		{"", PREDrechsler},
 		{"drechsler", PREDrechsler},
-		{"lcm", PRELCM},
 		{"lospre", PRELospre},
 	}
 	for _, c := range ok {
@@ -187,11 +189,11 @@ func TestParsePREBackend(t *testing.T) {
 			t.Errorf("ParsePREBackend(%q) = %v, %v; want %v, nil", c.in, got, err, c.want)
 		}
 	}
-	for _, bad := range []string{"morel", "LCM", "pre", "drechsler "} {
+	for _, bad := range []string{"morel", "lcm", "LCM", "pre", "drechsler "} {
 		if _, err := ParsePREBackend(bad); err == nil {
 			t.Errorf("ParsePREBackend(%q) succeeded, want error", bad)
 		} else {
-			for _, name := range []string{"drechsler", "lcm", "lospre"} {
+			for _, name := range []string{"drechsler", "lospre"} {
 				if !strings.Contains(err.Error(), name) {
 					t.Errorf("ParsePREBackend(%q) error %q does not name %s", bad, err, name)
 				}

@@ -116,16 +116,6 @@ func (s *BitSet) UnionDiff(t, u *BitSet) {
 	}
 }
 
-// AndNotOf overwrites s with t ∖ u.  Unlike Subtract it does not read
-// s's previous contents, so a scratch vector can absorb difference
-// terms like EARLIEST(b) = ANTIN(b) ∖ AVIN(b) in one pass with no
-// intermediate copy.
-func (s *BitSet) AndNotOf(t, u *BitSet) {
-	for i, w := range t.words {
-		s.words[i] = w &^ u.words[i]
-	}
-}
-
 // Subtract removes every element of t; reports whether s changed.
 func (s *BitSet) Subtract(t *BitSet) bool {
 	changed := false

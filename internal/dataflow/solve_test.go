@@ -8,21 +8,6 @@ import (
 	"repro/internal/ir"
 )
 
-func TestAndNotOf(t *testing.T) {
-	const n = 100
-	x, y := mkSet(n, 0b11011), mkSet(n, 0b01110)
-	dst := mkSet(n, 0xffff) // pre-filled: AndNotOf must fully overwrite
-	dst.AndNotOf(x, y)
-	if got := dst.String(); got != "{0, 4}" {
-		t.Errorf("AndNotOf = %s, want {0, 4}", got)
-	}
-	// s may alias t: s = s ∖ u.
-	x.AndNotOf(x, y)
-	if !x.Equal(dst) {
-		t.Errorf("aliased AndNotOf = %s, want %s", x, dst)
-	}
-}
-
 // The diamond used by the forward and backward solver tests:
 //
 //	b0 → {b1, b2} → b3
@@ -81,7 +66,7 @@ func TestSolveForwardAvailability(t *testing.T) {
 			out[b.ID].CopyFrom(u.Comp[b.ID])
 		}
 	}
-	dataflow.SolveForward(rpo, dataflow.MeetAll, in, out,
+	dataflow.SolveForward(rpo, in, out,
 		func(b *ir.Block, bin, dst *dataflow.BitSet) {
 			dst.CopyFrom(bin)
 			dst.Intersect(u.Transp[b.ID])
@@ -99,7 +84,7 @@ func TestSolveForwardAvailability(t *testing.T) {
 		t.Error("r1+r2 must not be available out of b2 (r2 redefined)")
 	}
 	if in[byName["b3"].ID].Has(e) {
-		t.Error("MeetAll at the join must intersect away r1+r2")
+		t.Error("the all-paths meet at the join must intersect away r1+r2")
 	}
 }
 
@@ -113,7 +98,7 @@ func TestSolveBackwardAnticipability(t *testing.T) {
 	for _, b := range f.Blocks {
 		in[b.ID].SetAll()
 	}
-	dataflow.SolveBackward(rpo, dataflow.MeetAll, out, in,
+	dataflow.SolveBackward(rpo, out, in,
 		func(b *ir.Block, bout, dst *dataflow.BitSet) {
 			dst.CopyFrom(bout)
 			dst.Intersect(u.Transp[b.ID])
@@ -138,33 +123,8 @@ func TestSolveBackwardAnticipability(t *testing.T) {
 	}
 }
 
-func TestSolveBackwardMeetAny(t *testing.T) {
-	// A "used on some later path" (may) problem: LFP from empty seeds,
-	// union meet.  At the fork both arms contribute their uses.
-	f, u, byName := universeFor(t, solveDiamond)
-	n := u.NumExprs()
-	rpo := cfg.ReversePostorder(f)
-	nb := len(f.Blocks)
-
-	in, out := perBlock(nb, n), perBlock(nb, n)
-	dataflow.SolveBackward(rpo, dataflow.MeetAny, out, in,
-		func(b *ir.Block, bout, dst *dataflow.BitSet) {
-			dst.CopyFrom(bout)
-			dst.Union(u.AntLoc[b.ID])
-		})
-
-	k, _ := dataflow.KeyOf(f.NewInstr(ir.OpAdd, 99, 1, 2))
-	e := u.Index[k]
-	if !out[byName["b0"].ID].Has(e) {
-		t.Error("union meet at the fork must see the use in b1")
-	}
-	if !out[byName["b2"].ID].Has(e) {
-		t.Error("b2 must see b3's use downstream")
-	}
-}
-
 func TestSolveEmptyRPO(t *testing.T) {
 	// Degenerate input must be a no-op, not a panic.
-	dataflow.SolveForward(nil, dataflow.MeetAll, nil, nil, nil)
-	dataflow.SolveBackward(nil, dataflow.MeetAny, nil, nil, nil)
+	dataflow.SolveForward(nil, nil, nil, nil)
+	dataflow.SolveBackward(nil, nil, nil, nil)
 }

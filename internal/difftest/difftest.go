@@ -101,7 +101,7 @@ type Options struct {
 	GVNDiff bool
 	// PREDiff is GVNDiff for the redundancy-elimination slot: every
 	// level with a PRE slot is optimized once per PRE backend
-	// (drechsler, lcm, lospre), all validated against the same
+	// (drechsler, lospre), both validated against the same
 	// reference behavior.  Combined with GVNDiff the harness tests the
 	// full backend product.  Incompatible with a custom Optimize.
 	PREDiff bool
@@ -177,7 +177,7 @@ func (o Options) variants(level core.Level) []variant {
 		gvns = core.GVNBackends
 	}
 	pres := []core.PREBackend{core.PREDrechsler}
-	if o.PREDiff && passSeqDiffers(level, def, variant{core.GVNAWZ, core.PRELCM}) {
+	if o.PREDiff && passSeqDiffers(level, def, variant{core.GVNAWZ, core.PRELospre}) {
 		pres = core.PREBackends
 	}
 	vs := make([]variant, 0, len(gvns)*len(pres))

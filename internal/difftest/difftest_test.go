@@ -78,7 +78,7 @@ func TestGVNDiffMode(t *testing.T) {
 	}
 }
 
-// TestPREDiffMode: cross-backend differential fuzzing over the three
+// TestPREDiffMode: cross-backend differential fuzzing over the two
 // PRE backends — zero divergence expected from the repo's own pipeline,
 // the fan-out applies exactly to the PRE-slot levels, and combining
 // with GVNDiff tests the full backend product.
@@ -100,18 +100,18 @@ func TestPREDiffMode(t *testing.T) {
 		got := len(o.variants(l))
 		want := 1
 		if l != core.LevelBaseline {
-			want = 3
+			want = 2
 		}
 		if got != want {
 			t.Errorf("%s: tested with %d variants, want %d", l, got, want)
 		}
 	}
 	o.GVNDiff = true
-	if got := len(o.variants(core.LevelDist)); got != 6 {
-		t.Errorf("GVNDiff+PREDiff at dist: %d variants, want the full 2x3 product", got)
+	if got := len(o.variants(core.LevelDist)); got != 4 {
+		t.Errorf("GVNDiff+PREDiff at dist: %d variants, want the full 2x2 product", got)
 	}
-	if got := len(o.variants(core.LevelPartial)); got != 3 {
-		t.Errorf("GVNDiff+PREDiff at partial: %d variants, want 3 (no GVN slot)", got)
+	if got := len(o.variants(core.LevelPartial)); got != 2 {
+		t.Errorf("GVNDiff+PREDiff at partial: %d variants, want 2 (no GVN slot)", got)
 	}
 
 	if _, err := Run(Options{N: 1, PREDiff: true, Optimize: sabotage(core.LevelPartial)}); err == nil {

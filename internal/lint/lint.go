@@ -60,10 +60,10 @@ func (d Diagnostic) String() string {
 // nonPassPackages are the internal packages whose files are NOT "pass
 // bodies", each exempt from the determinism checks for a
 // stated reason.  Every other internal/ package is a pass package by
-// default, so a newly added optimization backend (internal/lcm,
-// internal/lospre, ...) is linted the moment it exists — the old
-// allowlist silently skipped new packages until someone remembered to
-// register them.  cmd/ binaries are never pass bodies (they print and
+// default, so a newly added optimization backend (such as
+// internal/lospre) is linted the moment it exists — the old allowlist
+// silently skipped new packages until someone remembered to register
+// them.  cmd/ binaries are never pass bodies (they print and
 // time things on purpose); the cfgwrite check still applies to them.
 var nonPassPackages = map[string]bool{
 	"internal/core":     true, // pass manager: owns timing instrumentation and pass-list printing

@@ -166,7 +166,6 @@ func f(s []int) []int {
 // determinism checks (the cfgwrite check applies to them regardless).
 func TestPassPackageDenylist(t *testing.T) {
 	for pkg, want := range map[string]bool{
-		"internal/lcm":     true,
 		"internal/lospre":  true,
 		"internal/pre":     true,
 		"internal/newpass": true, // hypothetical future backend: covered by default
@@ -198,13 +197,13 @@ func f(m map[string]int) {
 	wantChecks(t, lintSrc(t, "cmd/epre", src2))
 }
 
-// TestMapOrderInsertionPointMap is the fixture the lcm/lospre
-// backends motivated: both keep per-block insertion-point maps, and
-// draining one into the instruction stream without sorting would make
-// the emitted order depend on map iteration.  The unsorted drain must
+// TestMapOrderInsertionPointMap is the fixture the alternate PRE
+// backend motivated: a per-block insertion-point map drained into the
+// instruction stream without sorting would make the emitted order
+// depend on map iteration.  The unsorted drain must
 // be flagged; the canonical collect-keys-sort-iterate drain must pass.
 func TestMapOrderInsertionPointMap(t *testing.T) {
-	src := `package lcm
+	src := `package lospre
 func drain(insertAt map[*Block][]*Instr) []*Instr {
 	var out []*Instr
 	for _, instrs := range insertAt {
@@ -212,9 +211,9 @@ func drain(insertAt map[*Block][]*Instr) []*Instr {
 	}
 	return out
 }`
-	wantChecks(t, lintSrc(t, "internal/lcm", src), "maporder")
+	wantChecks(t, lintSrc(t, "internal/lospre", src), "maporder")
 
-	src2 := `package lcm
+	src2 := `package lospre
 import "sort"
 func drain(insertAt map[int][]*Instr) []*Instr {
 	keys := make([]int, 0, len(insertAt))
@@ -228,7 +227,7 @@ func drain(insertAt map[int][]*Instr) []*Instr {
 	}
 	return out
 }`
-	wantChecks(t, lintSrc(t, "internal/lcm", src2))
+	wantChecks(t, lintSrc(t, "internal/lospre", src2))
 }
 
 // TestIRConstructFlagged pins the arena invariant the refactor

@@ -1,6 +1,6 @@
 // Package lospre implements speculative partial redundancy
 // elimination ("lospre", after Krause's lifetime-optimal speculative
-// PRE) as an alternate backend to internal/pre and internal/lcm.
+// PRE) as an alternate backend to internal/pre.
 //
 // Instead of the classical four-problem dataflow cascade, each
 // expression is placed by solving one minimum s-t cut over a small
@@ -158,7 +158,7 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 	for _, b := range f.Blocks {
 		antin[b.ID].SetAll()
 	}
-	dataflow.SolveBackward(rpo, dataflow.MeetAll, antout, antin,
+	dataflow.SolveBackward(rpo, antout, antin,
 		func(b *ir.Block, out, dst *dataflow.BitSet) {
 			dst.CopyFrom(out)
 			dst.Intersect(u.Transp[b.ID])
@@ -188,7 +188,7 @@ func runWith(f *ir.Func, ac *analysis.Cache, forcedBudgetTrips int) Stats {
 	for _, b := range f.Blocks {
 		defout[b.ID].SetAll()
 	}
-	dataflow.SolveForward(rpo, dataflow.MeetAll, defin, defout,
+	dataflow.SolveForward(rpo, defin, defout,
 		func(b *ir.Block, in, dst *dataflow.BitSet) {
 			dst.CopyFrom(in)
 			dst.Union(defs[b.ID])

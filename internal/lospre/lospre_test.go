@@ -99,7 +99,7 @@ b2:
 // down-safe backends: a computation guarded by a condition inside a
 // loop is hoisted out anyway, because one speculative evaluation
 // outside beats the expected many inside — exactly the motion
-// internal/pre and internal/lcm must refuse.
+// internal/pre must refuse.
 func TestLospreSpeculativeHoist(t *testing.T) {
 	const src = `
 func f(r1, r2, r3) {

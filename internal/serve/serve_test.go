@@ -226,8 +226,9 @@ func TestGVNBackendCacheDimension(t *testing.T) {
 
 // TestPREBackendCacheDimension mirrors the GVN test for the PRE slot:
 // the same program with a different `pre` field must address a distinct
-// cache entry, every backend pair gets its own slot, and all backends
-// agree on the program's result.
+// cache entry, every backend pair gets its own slot, both backends
+// agree on the program's result, and a removed or unknown backend is
+// refused with a JSON 400 naming the valid ones.
 func TestPREBackendCacheDimension(t *testing.T) {
 	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -237,7 +238,7 @@ func TestPREBackendCacheDimension(t *testing.T) {
 		Run: &RunSpec{Fn: "driver", Args: []string{"9"}}}
 	keys := map[string]string{}
 	results := map[string]string{}
-	for _, pre := range []string{"", "drechsler", "lcm", "lospre"} {
+	for _, pre := range []string{"", "drechsler", "lospre"} {
 		req.PRE = pre
 		code, resp, raw := postOptimize(t, ts, req)
 		if code != http.StatusOK {
@@ -264,17 +265,30 @@ func TestPREBackendCacheDimension(t *testing.T) {
 			results[want] = resp.Run.Result
 		}
 	}
-	if keys["drechsler"] == keys["lcm"] || keys["drechsler"] == keys["lospre"] || keys["lcm"] == keys["lospre"] {
+	if keys["drechsler"] == keys["lospre"] {
 		t.Errorf("PRE backends share a cache key: %v", keys)
 	}
-	if results["drechsler"] != results["lcm"] || results["drechsler"] != results["lospre"] {
+	if results["drechsler"] != results["lospre"] {
 		t.Errorf("PRE backends disagree on the program result: %v", results)
 	}
 
-	req.PRE = "bogus"
-	code, _, raw := postOptimize(t, ts, req)
-	if code != http.StatusBadRequest {
-		t.Errorf("bogus backend: status %d, want 400 (%s)", code, raw)
+	for _, bad := range []string{"bogus", "lcm"} {
+		req.PRE = bad
+		code, _, raw := postOptimize(t, ts, req)
+		if code != http.StatusBadRequest {
+			t.Errorf("pre=%q: status %d, want 400 (%s)", bad, code, raw)
+			continue
+		}
+		var e errorResponse
+		if err := json.Unmarshal([]byte(raw), &e); err != nil {
+			t.Errorf("pre=%q: 400 body is not JSON: %q", bad, raw)
+			continue
+		}
+		for _, name := range []string{"drechsler", "lospre"} {
+			if !strings.Contains(e.Error, name) {
+				t.Errorf("pre=%q: error %q does not name valid backend %s", bad, e.Error, name)
+			}
+		}
 	}
 
 	// The self-description advertises the per-backend versions.
@@ -290,7 +304,7 @@ func TestPREBackendCacheDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, b := range []string{"drechsler", "lcm", "lospre"} {
+	for _, b := range []string{"drechsler", "lospre"} {
 		v, ok := levels.PREBackends[b]
 		if !ok || v == "" {
 			t.Errorf("/levels missing pre backend %s", b)

@@ -38,7 +38,7 @@ type OptimizeRequest struct {
 	// has its own pipeline version, so results never cross over.
 	GVN string `json:"gvn,omitempty"`
 	// PRE selects the redundancy-elimination backend: "drechsler"
-	// (default), "lcm" or "lospre".  Like GVN it is a cache-key
+	// (default) or "lospre".  Like GVN it is a cache-key
 	// dimension via the per-combination pipeline version.
 	PRE string `json:"pre,omitempty"`
 	// Check runs the optimization in checked mode: every pass is

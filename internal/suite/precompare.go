@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/lcm"
 	"repro/internal/lospre"
 	"repro/internal/pre"
 )
@@ -19,12 +18,12 @@ import (
 // end-to-end dynamic operation count at the partial level.
 type PreCompareStat struct {
 	// Inserted counts computations the backend inserted (on edges for
-	// drechsler, at block boundaries for lcm/lospre), summed over
+	// drechsler, at block boundaries for lospre), summed over
 	// functions and fixpoint rounds.
 	Inserted int
 	// Eliminated counts original computations the backend removed or
 	// rewrote into copies: Deleted+Rewritten for drechsler (Mode A
-	// removals plus Mode B copy rewrites), Replaced for lcm and lospre.
+	// removals plus Mode B copy rewrites), Replaced for lospre.
 	Eliminated int
 	// Dyn is the routine's dynamic operation count optimized at the
 	// partial level with this backend, validated against the reference
@@ -32,7 +31,7 @@ type PreCompareStat struct {
 	Dyn int64
 }
 
-// PreCompareRow compares the three PRE backends on one suite routine.
+// PreCompareRow compares the two PRE backends on one suite routine.
 //
 // The static columns measure each backend on the identical input — the
 // routine normalized exactly as the partial pipeline would normalize it
@@ -44,23 +43,19 @@ type PreCompareStat struct {
 type PreCompareRow struct {
 	Name      string
 	Drechsler PreCompareStat
-	LCM       PreCompareStat
 	Lospre    PreCompareStat
 }
 
 // stat returns the row's entry for a backend.
 func (r *PreCompareRow) stat(b core.PREBackend) *PreCompareStat {
-	switch b {
-	case core.PRELCM:
-		return &r.LCM
-	case core.PRELospre:
+	if b == core.PRELospre {
 		return &r.Lospre
 	}
 	return &r.Drechsler
 }
 
 // preCompareRow measures one routine.  Each backend recompiles the
-// routine so all three see the identical input form.
+// routine so both see the identical input form.
 func preCompareRow(ctx context.Context, r Routine) (PreCompareRow, error) {
 	row := PreCompareRow{Name: r.Name}
 	normalize, err := core.PassByName("normalize")
@@ -82,16 +77,11 @@ func preCompareRow(ctx context.Context, r Routine) (PreCompareRow, error) {
 			}
 			ac := analysis.NewCache(f)
 			normalize.Run(&core.PassContext{Ctx: ctx, Func: f, Analyses: ac})
-			switch backend {
-			case core.PRELCM:
-				s := lcm.RunToFixpointWith(f, ac)
-				st.Inserted += s.Inserted
-				st.Eliminated += s.Replaced
-			case core.PRELospre:
+			if backend == core.PRELospre {
 				s := lospre.RunToFixpointWith(f, ac)
 				st.Inserted += s.Inserted
 				st.Eliminated += s.Replaced
-			default:
+			} else {
 				s := pre.RunToFixpointWith(f, ac)
 				st.Inserted += s.Inserted
 				st.Eliminated += s.Deleted + s.Rewritten
@@ -109,7 +99,7 @@ func preCompareRow(ctx context.Context, r Routine) (PreCompareRow, error) {
 	return row, nil
 }
 
-// PreCompare measures every suite routine with all three PRE backends,
+// PreCompare measures every suite routine with both PRE backends,
 // fanning out across up to workers goroutines (workers <= 1 is
 // serial).  Rows sort by name, so the table is canonical for any
 // worker count.
@@ -148,15 +138,13 @@ func PreCompare(ctx context.Context, workers int) ([]PreCompareRow, error) {
 // WritePreCompare renders the comparison as an aligned text table: one
 // ins/elim/dyn column group per backend.
 func WritePreCompare(w io.Writer, rows []PreCompareRow) {
-	fmt.Fprintf(w, "%-12s %23s  %23s  %23s\n", "",
-		"drechsler", "lcm", "lospre")
-	fmt.Fprintf(w, "%-12s %5s %5s %11s  %5s %5s %11s  %5s %5s %11s\n",
-		"routine", "ins", "elim", "dyn", "ins", "elim", "dyn", "ins", "elim", "dyn")
+	fmt.Fprintf(w, "%-12s %23s  %23s\n", "", "drechsler", "lospre")
+	fmt.Fprintf(w, "%-12s %5s %5s %11s  %5s %5s %11s\n",
+		"routine", "ins", "elim", "dyn", "ins", "elim", "dyn")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %5d %5d %11d  %5d %5d %11d  %5d %5d %11d\n",
+		fmt.Fprintf(w, "%-12s %5d %5d %11d  %5d %5d %11d\n",
 			r.Name,
 			r.Drechsler.Inserted, r.Drechsler.Eliminated, r.Drechsler.Dyn,
-			r.LCM.Inserted, r.LCM.Eliminated, r.LCM.Dyn,
 			r.Lospre.Inserted, r.Lospre.Eliminated, r.Lospre.Dyn)
 	}
 }

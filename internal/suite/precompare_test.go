@@ -10,13 +10,13 @@ import (
 
 // TestPreCompareAllRoutines is the acceptance check for the alternate
 // PRE backends: every suite routine, optimized at the partial level
-// with each of the three backends, must still compute its reference
+// with each backend, must still compute its reference
 // result (RunRoutineOpts validates it).  The static columns must be
 // populated wherever the paper's backend found redundancy, and the
 // worker fan-out must not change the table.
 func TestPreCompareAllRoutines(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs all routines × 3 backends")
+		t.Skip("runs all routines × 2 backends")
 	}
 	ctx := context.Background()
 	rows, err := PreCompare(ctx, 4)
@@ -26,28 +26,27 @@ func TestPreCompareAllRoutines(t *testing.T) {
 	if len(rows) != len(All()) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(All()))
 	}
-	var drEl, lcmEl, loEl int
+	var drEl, loEl int
 	for _, r := range rows {
-		for _, st := range []PreCompareStat{r.Drechsler, r.LCM, r.Lospre} {
+		for _, st := range []PreCompareStat{r.Drechsler, r.Lospre} {
 			if st.Dyn <= 0 {
 				t.Errorf("%s: non-positive dynamic count %+v", r.Name, st)
 			}
 		}
 		drEl += r.Drechsler.Eliminated
-		lcmEl += r.LCM.Eliminated
 		loEl += r.Lospre.Eliminated
 	}
 	// The suite is known to carry partial redundancies; a backend that
 	// eliminates nothing anywhere is wired up wrong.
-	if drEl == 0 || lcmEl == 0 || loEl == 0 {
-		t.Errorf("a backend eliminated nothing across the whole suite: drechsler=%d lcm=%d lospre=%d",
-			drEl, lcmEl, loEl)
+	if drEl == 0 || loEl == 0 {
+		t.Errorf("a backend eliminated nothing across the whole suite: drechsler=%d lospre=%d",
+			drEl, loEl)
 	}
 
 	var b strings.Builder
 	WritePreCompare(&b, rows)
 	out := b.String()
-	for _, want := range []string{"drechsler", "lcm", "lospre", "routine", rows[0].Name} {
+	for _, want := range []string{"drechsler", "lospre", "routine", rows[0].Name} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q:\n%s", want, out)
 		}
@@ -87,7 +86,7 @@ func TestPreBackendsPreserveRoutineSemantics(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, r := range All()[:6] {
-		for _, backend := range []core.PREBackend{core.PRELCM, core.PRELospre} {
+		for _, backend := range []core.PREBackend{core.PRELospre} {
 			if _, err := RunRoutineOpts(ctx, r, core.LevelReassoc, core.OptimizeOptions{PRE: backend}); err != nil {
 				t.Errorf("%s at reassoc with pre=%s: %v", r.Name, backend, err)
 			}
