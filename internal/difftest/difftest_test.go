@@ -477,3 +477,30 @@ func TestShrinkBudget(t *testing.T) {
 		t.Fatal("shrink with a 10-attempt budget did not return promptly")
 	}
 }
+
+// TestLargeShapes: the per-seed sweep generates 3–10 block programs,
+// so failures that only appear at size are never drawn there.  Fixed
+// 200-block programs, plain and with an irreducible region, go through
+// every level with zero failures expected.
+func TestLargeShapes(t *testing.T) {
+	for _, irreducible := range []bool{false, true} {
+		cfg := progen.Default()
+		cfg.Blocks = 200
+		cfg.BlockInstrs = 10
+		cfg.Irreducible = irreducible
+		n := 8
+		if irreducible {
+			n = 4
+		}
+		rep, err := Run(Options{Seed: 7, N: n, Workers: 2, Config: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Programs != n {
+			t.Fatalf("irreducible=%v: tested %d programs, want %d", irreducible, rep.Programs, n)
+		}
+		for _, f := range rep.Failures {
+			t.Errorf("irreducible=%v: %s\n%s", irreducible, f.String(), f.Program)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sccp_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/interp"
@@ -231,5 +232,39 @@ b0:
 	}
 	if countOps(f, ir.OpSqrt) != 0 {
 		t.Errorf("sqrt of constant not folded\n%s", f)
+	}
+}
+
+// TestSignedZerosNotMerged: +0.0 and -0.0 are different constants.
+// Merging them at the join would fold 1/r2 to one infinity for both
+// arms.
+func TestSignedZerosNotMerged(t *testing.T) {
+	const src = `
+func f(r1) {
+b0:
+    enter(r1)
+    cbr r1 -> b1, b2
+b1:
+    loadF 0.0 => r2
+    jump -> b3
+b2:
+    loadF -0.0 => r2
+    jump -> b3
+b3:
+    loadF 1.0 => r3
+    fdiv r3, r2 => r4
+    ret r4
+}
+`
+	f := ir.MustParseFunc(src)
+	sccp.Run(f)
+	if got := run(t, f, 1); !math.IsInf(got.F, 1) {
+		t.Errorf("f(1) = %v, want +Inf\n%s", got.F, f)
+	}
+	if got := run(t, f, 0); !math.IsInf(got.F, -1) {
+		t.Errorf("f(0) = %v, want -Inf\n%s", got.F, f)
+	}
+	if countOps(f, ir.OpFDiv) != 1 {
+		t.Errorf("fdiv of a merged zero folded\n%s", f)
 	}
 }
