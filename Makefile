@@ -44,20 +44,20 @@ fuzz:
 	$(GO) test ./internal/ir/ -fuzz FuzzParseRoundTrip -fuzztime 30s
 	$(GO) test ./internal/pl0/ -fuzz FuzzPL0Parse -fuzztime 30s
 
-# Differential-fuzzing smoke test, part of `check`: 200 generated
+# Differential-fuzzing smoke test, part of `check`: 400 generated
 # programs at fixed seeds, every optimization level interpreted
-# against the unoptimized reference, then 200 more in each
-# cross-backend mode (-gvn-diff: the GVN-carrying levels run under
-# both the AWZ and the precise backend; -pre-diff: the PRE-carrying
-# levels run under drechsler and lospre — each backend is checked
-# against the unoptimized reference on its own).  Any miscompile, verifier
-# reject, panic, or runaway exits nonzero with a shrunk reproducer.
+# against the unoptimized reference, then 200 more in cross-backend
+# mode (-pre-diff: the PRE-carrying levels run under drechsler and
+# lospre — each backend is checked against the unoptimized reference
+# on its own), then 150 call-heavy programs in the same mode.  Any
+# miscompile, verifier reject, panic, or runaway exits nonzero with a
+# shrunk reproducer.
 fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 1 -n 200 -workers 4
-	$(GO) run ./cmd/epre fuzz -seed 1000 -n 200 -workers 4 -gvn-diff
+	$(GO) run ./cmd/epre fuzz -seed 1000 -n 200 -workers 4
 	$(GO) run ./cmd/epre fuzz -seed 2000 -n 200 -workers 4 -pre-diff
 	$(GO) run ./cmd/epre fuzz -seed 3000 -n 150 -workers 4 -call-heavy \
-		-gvn-diff -pre-diff
+		-pre-diff
 
 # Go micro-benchmarks, one iteration each so they stay compiling and
 # running.  End-to-end and per-layer measurement lives in perfbench/

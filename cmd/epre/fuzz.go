@@ -59,7 +59,6 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 	shrink := fs.Bool("shrink", true, "minimize failing programs by delta debugging")
 	artifactDir := fs.String("artifact-dir", "", "write failing reproducers into this directory")
 	perPass := fs.Bool("per-pass", false, "re-validate miscompiles pass by pass to name the guilty pass")
-	gvnDiff := fs.Bool("gvn-diff", false, "cross-backend mode: test every GVN-carrying level with both the awz and precise backends")
 	preDiff := fs.Bool("pre-diff", false, "cross-backend mode: test every PRE-carrying level with the drechsler and lospre backends")
 	callHeavy := fs.Bool("call-heavy", false, "force the generator's call-heavy shape: dense call sites and depth-two call chains")
 	timeout := fs.Duration("timeout", 0, "overall run deadline (0 = none)")
@@ -89,8 +88,8 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 
 	var optimize difftest.OptimizeFunc
 	if lv := os.Getenv(sabotageEnv); lv != "" {
-		if *gvnDiff || *preDiff {
-			return fmt.Errorf("fuzz: -gvn-diff/-pre-diff cannot be combined with %s", sabotageEnv)
+		if *preDiff {
+			return fmt.Errorf("fuzz: -pre-diff cannot be combined with %s", sabotageEnv)
 		}
 		var err error
 		if optimize, err = sabotagedOptimize(lv); err != nil {
@@ -110,7 +109,6 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 		Shrink:      *shrink,
 		ArtifactDir: *artifactDir,
 		PerPass:     *perPass,
-		GVNDiff:     *gvnDiff,
 		PREDiff:     *preDiff,
 		CallHeavy:   *callHeavy,
 		Metrics:     metrics,

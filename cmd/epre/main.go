@@ -70,8 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = cmdTable1(args[1:], stdout)
 	case "table2":
 		err = cmdTable2(stdout)
-	case "gvncompare":
-		err = cmdGVNCompare(args[1:], stdout)
 	case "precompare":
 		err = cmdPreCompare(args[1:], stdout)
 	case "example":
@@ -101,15 +99,10 @@ func usage(w io.Writer) {
             [-no-validate] file.{mf,pl0,iloc}
   epre serve [-addr :8080] [-workers N] [-queue N] [-cache N]
              [-timeout 30s]   run the concurrent optimization service
-  epre table1 [-parallel N] [-gvn awz|precise]
-              [-pre drechsler|lospre] [-passstats]
+  epre table1 [-parallel N] [-pre drechsler|lospre] [-passstats]
               [-cpuprofile f] [-memprofile f]
                      regenerate the paper's Table 1 over the suite
   epre table2        regenerate the paper's Table 2 (code expansion)
-  epre gvncompare [-parallel N]
-                     compare the AWZ and precise GVN backends per
-                     routine: congruence classes on identical SSA and
-                     dynamic ops at the distribution level
   epre precompare [-parallel N]
                      compare the drechsler and lospre PRE backends
                      per routine: static insert/eliminate counts at the
@@ -123,14 +116,12 @@ func usage(w io.Writer) {
                      scenario against -addr), HDR latency histograms
                      and counter deltas (written to -out if given)
   epre fuzz [-seed N] [-n N] [-level L|all] [-workers N] [-shrink]
-            [-artifact-dir DIR] [-per-pass] [-gvn-diff] [-pre-diff]
-            [-call-heavy] [-timeout 5m] [-stats]
+            [-artifact-dir DIR] [-per-pass] [-pre-diff] [-call-heavy]
+            [-timeout 5m] [-stats]
                      differential fuzzing: random programs vs. the
                      reference interpreter at every optimization level
-                     (-gvn-diff additionally cross-checks the AWZ and
-                     precise GVN backends against each other; -pre-diff
-                     does the same for the drechsler and lospre PRE
-                     backends)
+                     (-pre-diff additionally cross-checks the drechsler
+                     and lospre PRE backends against each other)
   epre example       print the Figures 2-10 walkthrough
   epre levels        list optimization levels and passes`)
 }
@@ -362,7 +353,6 @@ func cmdTable1(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	parallel := fs.Int("parallel", 1, "measure up to N routines concurrently (output is byte-identical to the serial run)")
 	passStats := fs.Bool("passstats", false, "append a per-pass table: applications, changed-bit reports, time, analysis cache misses")
-	gvnName := fs.String("gvn", "", "global value numbering backend (awz|precise; default awz)")
 	preName := fs.String("pre", "", "redundancy elimination backend (drechsler|lospre; default drechsler)")
 	prof := addProfileFlags(fs)
 	fs.Parse(args)
@@ -376,9 +366,6 @@ func cmdTable1(args []string, stdout io.Writer) (err error) {
 		}
 	}()
 	var opts core.OptimizeOptions
-	if opts.GVN, err = core.ParseGVNBackend(*gvnName); err != nil {
-		return err
-	}
 	if opts.PRE, err = core.ParsePREBackend(*preName); err != nil {
 		return err
 	}
@@ -397,21 +384,6 @@ func cmdTable1(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintln(stdout, "per-pass statistics (analysis columns count cache misses, not queries):")
 		collector.Write(stdout)
 	}
-	return nil
-}
-
-func cmdGVNCompare(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("gvncompare", flag.ExitOnError)
-	parallel := fs.Int("parallel", 1, "measure up to N routines concurrently (output is byte-identical to the serial run)")
-	fs.Parse(args)
-	if fs.NArg() != 0 {
-		return fmt.Errorf("gvncompare: unexpected argument %q", fs.Arg(0))
-	}
-	rows, err := suite.GVNCompare(context.Background(), *parallel)
-	if err != nil {
-		return err
-	}
-	suite.WriteGVNCompare(stdout, rows)
 	return nil
 }
 
@@ -456,11 +428,6 @@ func cmdLevels(stdout io.Writer) {
 		fmt.Fprintf(stdout, "  %s\n", name)
 	}
 	fmt.Fprintln(stdout, "\nselectable backends (swap a level's slot without renaming the stage):")
-	gvnNames := make([]string, len(core.GVNBackends))
-	for i, b := range core.GVNBackends {
-		gvnNames[i] = fmt.Sprintf("%s (pass %s)", b, b.PassName())
-	}
-	fmt.Fprintf(stdout, "  %-5s %s\n", "gvn:", strings.Join(gvnNames, ", "))
 	preNames := make([]string, len(core.PREBackends))
 	for i, b := range core.PREBackends {
 		preNames[i] = fmt.Sprintf("%s (pass %s)", b, b.PassName())

@@ -101,7 +101,7 @@ func TestLevelsPassInventorySorted(t *testing.T) {
 		t.Errorf("pass inventory not sorted: %v", names)
 	}
 	// The backend matrix follows the inventory, naming every slot.
-	for _, want := range []string{"gvn:", "pre:", "drechsler (pass pre)", "lospre (pass pre-lospre)"} {
+	for _, want := range []string{"pre:", "drechsler (pass pre)", "lospre (pass pre-lospre)"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("levels output missing %q:\n%s", want, stdout)
 		}
@@ -351,23 +351,6 @@ func TestFuzzMiscompileExit(t *testing.T) {
 	}
 }
 
-func TestFuzzGVNDiffFlag(t *testing.T) {
-	code, stdout, stderr := runEpre(t, "fuzz", "-seed", "1", "-n", "8", "-workers", "2", "-gvn-diff")
-	if code != 0 {
-		t.Fatalf("fuzz -gvn-diff exited %d: %s%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "8 programs, 0 failures") {
-		t.Errorf("missing summary line: %s", stdout)
-	}
-	// The sabotage hook binds a custom pipeline, which is incompatible
-	// with backend fan-out; the CLI must refuse the combination.
-	t.Setenv("EPRE_FUZZ_SABOTAGE", "partial")
-	if code, _, stderr := runEpre(t, "fuzz", "-n", "1", "-gvn-diff"); code == 0 ||
-		!strings.Contains(stderr, "cannot be combined") {
-		t.Errorf("sabotage + -gvn-diff accepted (exit %d): %s", code, stderr)
-	}
-}
-
 func TestFuzzPREDiffFlag(t *testing.T) {
 	code, stdout, stderr := runEpre(t, "fuzz", "-seed", "1", "-n", "8", "-workers", "2", "-pre-diff")
 	if code != 0 {
@@ -428,56 +411,6 @@ func TestPreCompareCommand(t *testing.T) {
 		}
 	}
 	if code, _, _ := runEpre(t, "precompare", "stray"); code == 0 {
-		t.Error("stray positional argument accepted")
-	}
-}
-
-func TestTable1GVNFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	code, awz, stderr := runEpre(t, "table1", "-parallel", "8")
-	if code != 0 {
-		t.Fatalf("table1: %s", stderr)
-	}
-	code, precise, stderr := runEpre(t, "table1", "-parallel", "8", "-gvn", "precise")
-	if code != 0 {
-		t.Fatalf("table1 -gvn precise: %s", stderr)
-	}
-	// On the current suite the pruned-SSA partitions coincide (see
-	// internal/suite gvncompare tests), so the measured tables agree;
-	// what this test pins is that the flag parses, threads through, and
-	// still produces a full, checked table.
-	if len(precise) == 0 || strings.Count(precise, "\n") != strings.Count(awz, "\n") {
-		t.Errorf("precise table shape differs:\n%s", precise)
-	}
-	if code, _, stderr := runEpre(t, "table1", "-gvn", "bogus"); code == 0 ||
-		!strings.Contains(stderr, "unknown GVN backend") {
-		t.Errorf("bogus backend accepted (exit %d): %s", code, stderr)
-	}
-}
-
-func TestGVNCompareCommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	code, serial, stderr := runEpre(t, "gvncompare")
-	if code != 0 {
-		t.Fatalf("gvncompare: %s", stderr)
-	}
-	code, par, stderr := runEpre(t, "gvncompare", "-parallel", "8")
-	if code != 0 {
-		t.Fatalf("gvncompare -parallel: %s", stderr)
-	}
-	if serial != par {
-		t.Errorf("parallel gvncompare differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, par)
-	}
-	for _, want := range []string{"routine", "merged", "monotone", "tomcatv"} {
-		if !strings.Contains(serial, want) {
-			t.Errorf("gvncompare output missing %q:\n%s", want, serial)
-		}
-	}
-	if code, _, _ := runEpre(t, "gvncompare", "stray"); code == 0 {
 		t.Error("stray positional argument accepted")
 	}
 }

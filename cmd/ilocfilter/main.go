@@ -43,10 +43,9 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilocfilter", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	gvnName := fs.String("gvn", "", "GVN backend selecting the pass the generic \"gvn\" stage runs (awz|precise; default awz)")
 	preName := fs.String("pre", "", "PRE backend selecting the pass the generic \"pre\" stage runs (drechsler|lospre; default drechsler)")
 	usage := func() {
-		fmt.Fprintln(stderr, "usage: ilocfilter [-gvn awz|precise] [-pre drechsler|lospre] PASS   (reads ILOC on stdin, writes ILOC on stdout)")
+		fmt.Fprintln(stderr, "usage: ilocfilter [-pre drechsler|lospre] PASS   (reads ILOC on stdin, writes ILOC on stdout)")
 		fmt.Fprintln(stderr, "passes:")
 		for _, p := range core.AllPasses() {
 			fmt.Fprintf(stderr, "  %s\n", p.Name)
@@ -60,23 +59,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		usage()
 		return 2
 	}
-	gvnBackend, err := core.ParseGVNBackend(*gvnName)
-	if err != nil {
-		fmt.Fprintln(stderr, "ilocfilter:", err)
-		return 2
-	}
 	preBackend, err := core.ParsePREBackend(*preName)
 	if err != nil {
 		fmt.Fprintln(stderr, "ilocfilter:", err)
 		return 2
 	}
 	name := fs.Arg(0)
-	// The generic stage names resolve through the backend flags, so
+	// The generic "pre" stage resolves through the backend flag, so
 	// pipelines can switch backends without renaming the stage.
-	switch name {
-	case "gvn":
-		name = gvnBackend.PassName()
-	case "pre":
+	if name == "pre" {
 		name = preBackend.PassName()
 	}
 	pass, err := core.PassByName(name)

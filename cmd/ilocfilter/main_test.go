@@ -32,7 +32,7 @@ func TestHelp(t *testing.T) {
 	if code != 2 {
 		t.Errorf("help exit = %d, want 2", code)
 	}
-	for _, want := range []string{"usage: ilocfilter [-gvn awz|precise] [-pre drechsler|lospre] PASS", "pre", "gvn", "check"} {
+	for _, want := range []string{"usage: ilocfilter [-pre drechsler|lospre] PASS", "pre", "gvn", "check"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("help output missing %q:\n%s", want, stderr)
 		}
@@ -132,37 +132,6 @@ func TestCheckStagePassesCleanProgram(t *testing.T) {
 	}
 	if stdout != prog.String() {
 		t.Errorf("check must echo its input unchanged")
-	}
-}
-
-// TestGVNBackendFlag: the generic "gvn" stage name resolves through
-// -gvn, so shell pipelines switch backends without renaming stages.
-// Both backends must produce a valid program with unchanged behavior.
-func TestGVNBackendFlag(t *testing.T) {
-	prog, err := minift.Compile(filterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src bytes.Buffer
-	prog.Fprint(&src)
-	want := runMain(t, prog)
-
-	for _, backend := range []string{"awz", "precise"} {
-		code, stdout, stderr := runFilter(t, []string{"-gvn", backend, "gvn"}, src.String())
-		if code != 0 {
-			t.Fatalf("-gvn %s gvn exited %d: %s", backend, code, stderr)
-		}
-		out, err := ir.ParseProgramString(stdout)
-		if err != nil {
-			t.Fatalf("-gvn %s output unparsable: %v", backend, err)
-		}
-		if got := runMain(t, out); got != want {
-			t.Errorf("-gvn %s: main() = %s, want %s", backend, got, want)
-		}
-	}
-	if code, _, stderr := runFilter(t, []string{"-gvn", "bogus", "gvn"}, src.String()); code != 2 ||
-		!strings.Contains(stderr, "unknown GVN backend") {
-		t.Errorf("bogus backend accepted (exit %d): %s", code, stderr)
 	}
 }
 

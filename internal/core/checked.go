@@ -61,23 +61,23 @@ func CheckedOptimize(p *ir.Program, level Level) (*ir.Program, []check.Diagnosti
 // bounds even the checker's reference executions.  On expiry it returns
 // an error wrapping ctx.Err().
 func CheckedOptimizeCtx(ctx context.Context, p *ir.Program, level Level) (*ir.Program, []check.Diagnostic, error) {
-	return CheckedOptimizeFor(ctx, p, level, GVNAWZ, PREDrechsler)
+	return CheckedOptimizeFor(ctx, p, level, PREDrechsler)
 }
 
-// CheckedOptimizeFor is CheckedOptimizeCtx with explicit GVN and PRE
-// backends filling the pipeline's slots, so checked mode covers every
+// CheckedOptimizeFor is CheckedOptimizeCtx with an explicit PRE
+// backend filling the pipeline's PRE slot, so checked mode covers every
 // backend with the same per-pass translation validation.
-func CheckedOptimizeFor(ctx context.Context, p *ir.Program, level Level, gvn GVNBackend, pre PREBackend) (*ir.Program, []check.Diagnostic, error) {
-	passes, err := passesForLevel(level, gvn, pre)
+func CheckedOptimizeFor(ctx context.Context, p *ir.Program, level Level, pre PREBackend) (*ir.Program, []check.Diagnostic, error) {
+	passes, err := passesForLevel(level, pre)
 	if err != nil {
 		return nil, nil, err
 	}
 	return CheckedRunCtx(ctx, p, passes, DefaultCheckConfig())
 }
 
-func passesForLevel(level Level, gvn GVNBackend, pre PREBackend) ([]Pass, error) {
+func passesForLevel(level Level, pre PREBackend) ([]Pass, error) {
 	var passes []Pass
-	for _, name := range PassNamesWith(level, gvn, pre) {
+	for _, name := range PassNamesWith(level, pre) {
 		p, err := PassByName(name)
 		if err != nil {
 			return nil, err
@@ -166,8 +166,8 @@ func CheckedRunCtx(ctx context.Context, p *ir.Program, passes []Pass, cfg CheckC
 // checkedOptimizeStrict runs CheckedOptimize and converts error
 // diagnostics into a hard error; this is the EPRE_CHECK=1 path of
 // Optimize.
-func checkedOptimizeStrict(ctx context.Context, p *ir.Program, level Level, gvn GVNBackend, pre PREBackend) (*ir.Program, error) {
-	out, diags, err := CheckedOptimizeFor(ctx, p, level, gvn, pre)
+func checkedOptimizeStrict(ctx context.Context, p *ir.Program, level Level, pre PREBackend) (*ir.Program, error) {
+	out, diags, err := CheckedOptimizeFor(ctx, p, level, pre)
 	if err != nil {
 		return nil, err
 	}

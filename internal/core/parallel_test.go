@@ -151,7 +151,7 @@ func TestCheckedRunCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	passes, err := passesForLevel(LevelDist, GVNAWZ, PREDrechsler)
+	passes, err := passesForLevel(LevelDist, PREDrechsler)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCheckedRunCtxDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes, err := passesForLevel(LevelDist, GVNAWZ, PREDrechsler)
+	passes, err := passesForLevel(LevelDist, PREDrechsler)
 	if err != nil {
 		t.Fatal(err)
 	}

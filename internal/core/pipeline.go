@@ -53,55 +53,6 @@ const (
 // Levels lists the Table 1 levels in presentation order.
 var Levels = []Level{LevelBaseline, LevelPartial, LevelReassoc, LevelDist}
 
-// GVNBackend selects the analysis behind the pipeline's value-numbering
-// slot.  Both backends share the renaming transformation (classes →
-// representative registers); they differ only in which congruences the
-// analysis proves.
-type GVNBackend string
-
-const (
-	// GVNAWZ is the paper's backend: Alpern–Wegman–Zadeck partition
-	// refinement, "the simplest variation" (§4).  The zero value of
-	// GVNBackend behaves as GVNAWZ everywhere.
-	GVNAWZ GVNBackend = "awz"
-	// GVNPrecise is the sparse iterative value-expression analysis with
-	// value-φ folding (fold/compose rules); it proves strictly more
-	// congruences — every AWZ congruence plus those that flow through
-	// φs (φ(x,x) ≡ x, φ(x+1,y+1) ≡ φ(x,y)+1) and commutations.
-	GVNPrecise GVNBackend = "precise"
-)
-
-// GVNBackends lists the selectable backends in presentation order.
-var GVNBackends = []GVNBackend{GVNAWZ, GVNPrecise}
-
-// ParseGVNBackend maps a -gvn flag value to a backend; the empty string
-// selects the default (AWZ).
-func ParseGVNBackend(s string) (GVNBackend, error) {
-	switch s {
-	case "", "awz":
-		return GVNAWZ, nil
-	case "precise":
-		return GVNPrecise, nil
-	}
-	return "", fmt.Errorf("core: unknown GVN backend %q (want awz or precise)", s)
-}
-
-// orDefault folds the zero value into the default backend.
-func (b GVNBackend) orDefault() GVNBackend {
-	if b == "" {
-		return GVNAWZ
-	}
-	return b
-}
-
-// PassName is the pipeline pass implementing this backend.
-func (b GVNBackend) PassName() string {
-	if b.orDefault() == GVNPrecise {
-		return "gvn-precise"
-	}
-	return "gvn"
-}
-
 // PREBackend selects the algorithm behind the pipeline's redundancy-
 // elimination slot.  Both backends eliminate partial redundancies
 // by inserting computations and rewriting occurrences into copies; they
@@ -195,7 +146,7 @@ const (
 // passes, where each pass is a Unix filter" (§4).
 //
 // Run reports whether it changed the function; false lets the pipeline
-// skip post-pass verification and lets fixpoint drivers terminate.
+// skip post-pass verification and checked mode skip re-checking.
 // Reporting true conservatively is always sound.  Preserves is the
 // pass's declared worst-case invalidation contract — the analyses it
 // never invalidates on any input.  It is folded into PipelineVersion
@@ -274,10 +225,6 @@ func AllPasses() []Pass {
 			gvn.RunWith(pc.Func, pc.Analyses)
 			return true
 		}},
-		{"gvn-precise", nil, func(pc *PassContext) bool {
-			gvn.RunPreciseWith(pc.Func, pc.Analyses)
-			return true
-		}},
 		{"reassoc", nil, func(pc *PassContext) bool {
 			reassoc.RunWith(pc.Func, reassoc.Options{AllowFloat: true}, pc.Analyses)
 			return true
@@ -325,15 +272,13 @@ func baselineTail() []string {
 }
 
 // PassNames returns the pass sequence for a level with the default
-// backends (AWZ value numbering, Drechsler–Stadel PRE).
-func PassNames(level Level) []string { return PassNamesWith(level, GVNAWZ, PREDrechsler) }
+// PRE backend (Drechsler–Stadel).
+func PassNames(level Level) []string { return PassNamesWith(level, PREDrechsler) }
 
 // PassNamesWith returns the pass sequence for a level with the given
-// backends filling the pipeline's GVN and PRE slots.  Levels without a
-// slot are identical across that slot's backends: baseline has neither,
-// partial has only the PRE slot.
-func PassNamesWith(level Level, gvn GVNBackend, pre PREBackend) []string {
-	g := gvn.PassName()
+// backend filling the pipeline's PRE slot.  Baseline has no PRE slot,
+// so it is identical across backends.
+func PassNamesWith(level Level, pre PREBackend) []string {
 	p := pre.PassName()
 	switch level {
 	case LevelNone:
@@ -343,9 +288,9 @@ func PassNamesWith(level Level, gvn GVNBackend, pre PREBackend) []string {
 	case LevelPartial:
 		return append([]string{"normalize", p}, baselineTail()...)
 	case LevelReassoc:
-		return append([]string{"reassoc", g, "normalize", p}, baselineTail()...)
+		return append([]string{"reassoc", "gvn", "normalize", p}, baselineTail()...)
 	case LevelDist:
-		return append([]string{"reassoc-dist", g, "normalize", p}, baselineTail()...)
+		return append([]string{"reassoc-dist", "gvn", "normalize", p}, baselineTail()...)
 	}
 	return nil
 }
@@ -357,31 +302,27 @@ func PassNamesWith(level Level, gvn GVNBackend, pre PREBackend) []string {
 // automatically whenever a pass is added, removed, resequenced, or its
 // invalidation contract changes.  It is deterministic across processes
 // and runs.
-func PipelineVersion() string { return PipelineVersionFor(GVNAWZ, PREDrechsler) }
+func PipelineVersion() string { return PipelineVersionFor(PREDrechsler) }
 
-// PipelineVersionFor is the pipeline fingerprint with the given GVN and
-// PRE backends selected.  Each backend changes some level's pass
-// sequence (and both are hashed explicitly besides), so distinct
-// backend combinations always fingerprint differently and a
-// content-addressed cache can never serve one combination's result for
-// another's request.
-func PipelineVersionFor(gvn GVNBackend, pre PREBackend) string {
-	return pipelineVersion(AllPasses(), gvn, pre)
+// PipelineVersionFor is the pipeline fingerprint with the given PRE
+// backend selected.  Each backend changes some level's pass sequence
+// (and is hashed explicitly besides), so distinct backends always
+// fingerprint differently and a content-addressed cache can never
+// serve one backend's result for another's request.
+func PipelineVersionFor(pre PREBackend) string {
+	return pipelineVersion(AllPasses(), pre)
 }
 
 // pipelineVersion computes the fingerprint over a given pass inventory;
 // split out so tests can prove the hash is sensitive to contract edits.
-func pipelineVersion(passes []Pass, gvn GVNBackend, pre PREBackend) string {
+func pipelineVersion(passes []Pass, pre PREBackend) string {
 	h := sha256.New()
-	io.WriteString(h, "gvn-backend:")
-	io.WriteString(h, string(gvn.orDefault()))
-	io.WriteString(h, "\n")
 	io.WriteString(h, "pre-backend:")
 	io.WriteString(h, string(pre.orDefault()))
 	io.WriteString(h, "\n")
 	for _, l := range append([]Level{LevelNone}, Levels...) {
 		io.WriteString(h, string(l))
-		for _, name := range PassNamesWith(l, gvn, pre) {
+		for _, name := range PassNamesWith(l, pre) {
 			io.WriteString(h, ":")
 			io.WriteString(h, name)
 		}
@@ -414,7 +355,7 @@ type PassInfo struct {
 
 // OptimizeOptions tune OptimizeWith beyond the level itself.  The zero
 // value reproduces plain Optimize: background context, serial, no
-// instrumentation, shared analyses, single pipeline sweep.
+// instrumentation, shared analyses, the paper's PRE backend.
 type OptimizeOptions struct {
 	// Ctx, when non-nil, is checked between passes and plumbed into
 	// any checked-mode differential interpretation; optimization stops
@@ -436,22 +377,11 @@ type OptimizeOptions struct {
 	// own dominators and liveness.  Used by benchmarks to measure the
 	// cache's effect; the optimized output is identical either way.
 	FreshAnalyses bool
-	// TailFixpoint re-runs the baseline tail after the level's normal
-	// sequence until no tail pass reports a change (bounded by
-	// MaxTailRounds).  The default single sweep matches the paper.
-	TailFixpoint bool
-	// GVN selects the value-numbering backend filling the pipeline's
-	// GVN slot at the reassociation levels.  The zero value is GVNAWZ,
-	// the paper's configuration.
-	GVN GVNBackend
 	// PRE selects the redundancy-elimination backend filling the
 	// pipeline's PRE slot at the partial level and above.  The zero
 	// value is PREDrechsler, the paper's configuration.
 	PRE PREBackend
 }
-
-// MaxTailRounds bounds OptimizeOptions.TailFixpoint iteration.
-const MaxTailRounds = 8
 
 func (o OptimizeOptions) ctx() context.Context {
 	if o.Ctx != nil {
@@ -481,13 +411,13 @@ func OptimizeFunc(f *ir.Func, level Level) error {
 
 func optimizeFunc(ctx context.Context, f *ir.Func, level Level, opts OptimizeOptions) error {
 	pc := &PassContext{Ctx: ctx, Func: f, Analyses: analysis.NewCache(f)}
-	runPass := func(name string) (bool, error) {
+	runPass := func(name string) error {
 		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("before pass %s: %w", name, err)
+			return fmt.Errorf("before pass %s: %w", name, err)
 		}
 		p, err := PassByName(name)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if opts.FreshAnalyses {
 			pc.Analyses = analysis.NewCache(f)
@@ -508,30 +438,15 @@ func optimizeFunc(ctx context.Context, f *ir.Func, level Level, opts OptimizeOpt
 		// verified invariants; skip re-verification.
 		if changed {
 			if err := ir.Verify(f); err != nil {
-				return changed, fmt.Errorf("after pass %s: %w", name, err)
+				return fmt.Errorf("after pass %s: %w", name, err)
 			}
 		}
-		return changed, nil
+		return nil
 	}
 
-	for _, name := range PassNamesWith(level, opts.GVN, opts.PRE) {
-		if _, err := runPass(name); err != nil {
+	for _, name := range PassNamesWith(level, opts.PRE) {
+		if err := runPass(name); err != nil {
 			return err
-		}
-	}
-	if opts.TailFixpoint && level != LevelNone {
-		for round := 0; round < MaxTailRounds; round++ {
-			anyChanged := false
-			for _, name := range baselineTail() {
-				changed, err := runPass(name)
-				if err != nil {
-					return err
-				}
-				anyChanged = anyChanged || changed
-			}
-			if !anyChanged {
-				break
-			}
 		}
 	}
 	return nil
@@ -557,7 +472,7 @@ func OptimizeWith(p *ir.Program, level Level, opts OptimizeOptions) (*ir.Program
 	if CheckEnabled() {
 		// Checked mode validates whole-program snapshots around every
 		// pass, so it stays serial at pass granularity.
-		return checkedOptimizeStrict(ctx, p, level, opts.GVN, opts.PRE)
+		return checkedOptimizeStrict(ctx, p, level, opts.PRE)
 	}
 	out := p.Clone()
 	workers := opts.workers(len(out.Funcs))

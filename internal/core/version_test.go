@@ -21,16 +21,16 @@ func TestPipelineVersionStable(t *testing.T) {
 // is renamed, removed, or — crucially for the result caches — when its
 // preservation contract changes without any other edit.
 func TestPipelineVersionSensitivity(t *testing.T) {
-	base := pipelineVersion(AllPasses(), GVNAWZ, PREDrechsler)
+	base := pipelineVersion(AllPasses(), PREDrechsler)
 
 	renamed := AllPasses()
 	renamed[0].Name = renamed[0].Name + "-v2"
-	if pipelineVersion(renamed, GVNAWZ, PREDrechsler) == base {
+	if pipelineVersion(renamed, PREDrechsler) == base {
 		t.Error("renaming a pass did not change the version")
 	}
 
 	removed := AllPasses()[1:]
-	if pipelineVersion(removed, GVNAWZ, PREDrechsler) == base {
+	if pipelineVersion(removed, PREDrechsler) == base {
 		t.Error("removing a pass did not change the version")
 	}
 
@@ -48,7 +48,7 @@ func TestPipelineVersionSensitivity(t *testing.T) {
 	if !flipped {
 		t.Fatal("no pass declares a Preserves contract")
 	}
-	if pipelineVersion(contract, GVNAWZ, PREDrechsler) == base {
+	if pipelineVersion(contract, PREDrechsler) == base {
 		t.Error("clearing a Preserves contract did not change the version")
 	}
 
@@ -59,84 +59,30 @@ func TestPipelineVersionSensitivity(t *testing.T) {
 			break
 		}
 	}
-	if pipelineVersion(granted, GVNAWZ, PREDrechsler) == base {
+	if pipelineVersion(granted, PREDrechsler) == base {
 		t.Error("granting a Preserves contract did not change the version")
 	}
 }
 
-// TestPipelineVersionGVNBackend: selecting a different GVN backend must
+// TestPipelineVersionPREBackend: selecting a different PRE backend must
 // move the fingerprint, so a content-addressed result cache (the serve
 // cache folds the version into its keys) can never return a stale
 // cross-backend result.  The zero value must fingerprint exactly as the
 // explicit default.
-func TestPipelineVersionGVNBackend(t *testing.T) {
-	awz := PipelineVersionFor(GVNAWZ, PREDrechsler)
-	precise := PipelineVersionFor(GVNPrecise, PREDrechsler)
-	if awz == precise {
-		t.Fatalf("AWZ and precise backends share a pipeline version: %q", awz)
-	}
-	if def := PipelineVersionFor("", ""); def != awz {
-		t.Errorf("zero-value backend version %q differs from explicit awz %q", def, awz)
-	}
-	if PipelineVersion() != awz {
-		t.Errorf("PipelineVersion() does not default to the AWZ backend")
-	}
-	for _, b := range GVNBackends {
-		v := PipelineVersionFor(b, PREDrechsler)
-		if !strings.HasPrefix(v, "epre-") || len(v) != len("epre-")+16 {
-			t.Errorf("backend %s: unexpected version shape %q", b, v)
-		}
-	}
-}
-
-// TestPassNamesWithBackend: the precise backend swaps only the GVN slot
-// of the reassociation levels; every other level is identical.
-func TestPassNamesWithBackend(t *testing.T) {
-	for _, l := range append([]Level{LevelNone}, Levels...) {
-		a := PassNamesWith(l, GVNAWZ, PREDrechsler)
-		p := PassNamesWith(l, GVNPrecise, PREDrechsler)
-		if len(a) != len(p) {
-			t.Fatalf("%s: pass count differs across backends: %v vs %v", l, a, p)
-		}
-		diff := 0
-		for i := range a {
-			if a[i] != p[i] {
-				diff++
-				if a[i] != "gvn" || p[i] != "gvn-precise" {
-					t.Errorf("%s: unexpected substitution %s -> %s", l, a[i], p[i])
-				}
-			}
-		}
-		hasGVN := l == LevelReassoc || l == LevelDist
-		if hasGVN && diff != 1 || !hasGVN && diff != 0 {
-			t.Errorf("%s: %d slots differ across backends (%v vs %v)", l, diff, a, p)
-		}
-	}
-}
-
-// TestPipelineVersionPREBackend mirrors the GVN-backend test for the
-// redundancy-elimination slot: each PRE backend must fingerprint
-// differently (pairwise, and across GVN backends), and the zero value
-// must fingerprint exactly as the explicit default.
 func TestPipelineVersionPREBackend(t *testing.T) {
-	seen := map[string]string{}
-	for _, g := range GVNBackends {
-		for _, p := range PREBackends {
-			v := PipelineVersionFor(g, p)
-			if !strings.HasPrefix(v, "epre-") || len(v) != len("epre-")+16 {
-				t.Errorf("%s/%s: unexpected version shape %q", g, p, v)
-			}
-			if prev, dup := seen[v]; dup {
-				t.Errorf("backend pairs %s and %s/%s share version %q", prev, g, p, v)
-			}
-			seen[v] = string(g) + "/" + string(p)
+	seen := map[string]PREBackend{}
+	for _, p := range PREBackends {
+		v := PipelineVersionFor(p)
+		if !strings.HasPrefix(v, "epre-") || len(v) != len("epre-")+16 {
+			t.Errorf("%s: unexpected version shape %q", p, v)
 		}
+		if prev, dup := seen[v]; dup {
+			t.Errorf("backends %s and %s share version %q", prev, p, v)
+		}
+		seen[v] = p
 	}
-	if len(seen) != 4 {
-		t.Errorf("got %d distinct versions over the gvn×pre product, want 2×2 = 4", len(seen))
-	}
-	def := PipelineVersionFor(GVNAWZ, PREDrechsler)
-	if v := PipelineVersionFor(GVNAWZ, ""); v != def {
+	def := PipelineVersionFor(PREDrechsler)
+	if v := PipelineVersionFor(""); v != def {
 		t.Errorf("zero-value PRE backend version %q differs from explicit drechsler %q", v, def)
 	}
 	if PipelineVersion() != def {
@@ -150,8 +96,8 @@ func TestPipelineVersionPREBackend(t *testing.T) {
 func TestPassNamesWithPREBackend(t *testing.T) {
 	for _, pb := range []PREBackend{PRELospre} {
 		for _, l := range append([]Level{LevelNone}, Levels...) {
-			a := PassNamesWith(l, GVNAWZ, PREDrechsler)
-			p := PassNamesWith(l, GVNAWZ, pb)
+			a := PassNamesWith(l, PREDrechsler)
+			p := PassNamesWith(l, pb)
 			if len(a) != len(p) {
 				t.Fatalf("%s/%s: pass count differs across backends: %v vs %v", l, pb, a, p)
 			}

@@ -92,18 +92,12 @@ type Options struct {
 	// PerPass, for miscompiles, re-runs the level pass by pass under
 	// translation validation to name the guilty pass in the detail.
 	PerPass bool
-	// GVNDiff enables cross-backend differential mode: every level
-	// whose pass sequence has a value-numbering slot is optimized twice
-	// — once per GVN backend — and both results are validated against
-	// the same reference behavior, so the two backends act as free
-	// oracles for each other.  Incompatible with a custom Optimize
+	// PREDiff enables cross-backend differential mode: every level
+	// with a redundancy-elimination slot is optimized once per PRE
+	// backend (drechsler, lospre), and both results are validated
+	// against the same reference behavior, so the two backends act as
+	// free oracles for each other.  Incompatible with a custom Optimize
 	// (which has no backend dimension).
-	GVNDiff bool
-	// PREDiff is GVNDiff for the redundancy-elimination slot: every
-	// level with a PRE slot is optimized once per PRE backend
-	// (drechsler, lospre), both validated against the same
-	// reference behavior.  Combined with GVNDiff the harness tests the
-	// full backend product.  Incompatible with a custom Optimize.
 	PREDiff bool
 	// Metrics, when non-nil, receives live counters during the run.
 	Metrics *Metrics
@@ -130,34 +124,28 @@ func (o Options) maxSteps() int64 {
 	return 1 << 20
 }
 
-// variant is one pipeline configuration under test: a point in the
-// (GVN backend × PRE backend) product.
-type variant struct {
-	gvn core.GVNBackend
-	pre core.PREBackend
-}
-
 func (o Options) optimize() OptimizeFunc {
-	return o.optimizeFor(variant{core.GVNAWZ, core.PREDrechsler})
+	return o.optimizeFor(core.PREDrechsler)
 }
 
-// optimizeFor is the optimizer under test with explicit backends; a
-// custom Optimize override has no backend dimension and wins outright.
-func (o Options) optimizeFor(v variant) OptimizeFunc {
+// optimizeFor is the optimizer under test with an explicit PRE backend;
+// a custom Optimize override has no backend dimension and wins
+// outright.
+func (o Options) optimizeFor(pre core.PREBackend) OptimizeFunc {
 	if o.Optimize != nil {
 		return o.Optimize
 	}
 	return func(ctx context.Context, p *ir.Program, level core.Level) (*ir.Program, error) {
-		return core.OptimizeWith(p, level, core.OptimizeOptions{Ctx: ctx, GVN: v.gvn, PRE: v.pre})
+		return core.OptimizeWith(p, level, core.OptimizeOptions{Ctx: ctx, PRE: pre})
 	}
 }
 
-// passSeqDiffers reports whether two pipeline configurations produce
-// different pass sequences at a level; identical sequences make the
-// variants byte-identical, so testing both would be pure waste.
-func passSeqDiffers(level core.Level, a, b variant) bool {
-	x := core.PassNamesWith(level, a.gvn, a.pre)
-	y := core.PassNamesWith(level, b.gvn, b.pre)
+// passSeqDiffers reports whether two PRE backends produce different
+// pass sequences at a level; identical sequences make the variants
+// byte-identical, so testing both would be pure waste.
+func passSeqDiffers(level core.Level, a, b core.PREBackend) bool {
+	x := core.PassNamesWith(level, a)
+	y := core.PassNamesWith(level, b)
 	for i := range x {
 		if x[i] != y[i] {
 			return true
@@ -166,36 +154,20 @@ func passSeqDiffers(level core.Level, a, b variant) bool {
 	return false
 }
 
-// variants lists the pipeline configurations one level is tested with:
-// just the default, plus every GVN backend when GVNDiff is set and the
-// level has a value-numbering slot, crossed with every PRE backend when
-// PREDiff is set and the level has a redundancy-elimination slot.
-func (o Options) variants(level core.Level) []variant {
-	def := variant{core.GVNAWZ, core.PREDrechsler}
-	gvns := []core.GVNBackend{core.GVNAWZ}
-	if o.GVNDiff && passSeqDiffers(level, def, variant{core.GVNPrecise, core.PREDrechsler}) {
-		gvns = core.GVNBackends
+// variants lists the PRE backends one level is tested with: just the
+// default, or every backend when PREDiff is set and the level has a
+// redundancy-elimination slot.
+func (o Options) variants(level core.Level) []core.PREBackend {
+	if o.PREDiff && passSeqDiffers(level, core.PREDrechsler, core.PRELospre) {
+		return core.PREBackends
 	}
-	pres := []core.PREBackend{core.PREDrechsler}
-	if o.PREDiff && passSeqDiffers(level, def, variant{core.GVNAWZ, core.PRELospre}) {
-		pres = core.PREBackends
-	}
-	vs := make([]variant, 0, len(gvns)*len(pres))
-	for _, g := range gvns {
-		for _, p := range pres {
-			vs = append(vs, variant{g, p})
-		}
-	}
-	return vs
+	return []core.PREBackend{core.PREDrechsler}
 }
 
 // Failure describes one failing (program, level) pair.
 type Failure struct {
 	Seed  uint64
 	Level core.Level
-	// GVN is the value-numbering backend the failing pipeline ran with
-	// (set in GVNDiff mode; empty means the default backend).
-	GVN core.GVNBackend
 	// PRE is the redundancy-elimination backend the failing pipeline
 	// ran with (set in PREDiff mode; empty means the default backend).
 	PRE    core.PREBackend
@@ -215,9 +187,6 @@ type Failure struct {
 
 func (f *Failure) String() string {
 	level := string(f.Level)
-	if f.GVN != "" {
-		level += "/gvn=" + string(f.GVN)
-	}
 	if f.PRE != "" {
 		level += "/pre=" + string(f.PRE)
 	}
@@ -242,8 +211,8 @@ type Report struct {
 // are data, not errors.
 func Run(opt Options) (*Report, error) {
 	ctx := opt.ctx()
-	if (opt.GVNDiff || opt.PREDiff) && opt.Optimize != nil {
-		return nil, fmt.Errorf("difftest: GVNDiff/PREDiff is incompatible with a custom Optimize (no backend dimension)")
+	if opt.PREDiff && opt.Optimize != nil {
+		return nil, fmt.Errorf("difftest: PREDiff is incompatible with a custom Optimize (no backend dimension)")
 	}
 	start := time.Now()
 	n := opt.N
@@ -411,17 +380,12 @@ func floatTolFor(level core.Level) (tol float64, exactMem bool) {
 	return 0, true
 }
 
-// testLevel runs one optimization level (with one pipeline variant)
-// against the reference behavior and returns a classified failure, or
-// nil.
-func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64, level core.Level, v variant, opt Options) *Failure {
-	var gvnTag core.GVNBackend
+// testLevel runs one optimization level (with one PRE backend) against
+// the reference behavior and returns a classified failure, or nil.
+func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64, level core.Level, pre core.PREBackend, opt Options) *Failure {
 	var preTag core.PREBackend
-	if opt.GVNDiff {
-		gvnTag = v.gvn // record the pipeline variant on any failure
-	}
 	if opt.PREDiff {
-		preTag = v.pre
+		preTag = pre // record the pipeline variant on any failure
 	}
 	fail := func(kind Kind, detail string, repro *ir.Program) *Failure {
 		if repro == nil {
@@ -429,12 +393,12 @@ func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64
 		}
 		n := prog.InstrCount()
 		return &Failure{
-			Seed: seed, Level: level, GVN: gvnTag, PRE: preTag, Kind: kind, Detail: detail,
+			Seed: seed, Level: level, PRE: preTag, Kind: kind, Detail: detail,
 			Program: repro, OrigInstrs: n, MinInstrs: n,
 		}
 	}
 
-	optimized, panicMsg, err := safeOptimize(ctx, prog, level, opt.optimizeFor(v))
+	optimized, panicMsg, err := safeOptimize(ctx, prog, level, opt.optimizeFor(pre))
 	switch {
 	case panicMsg != "":
 		return fail(KindPanic, panicMsg, nil)
@@ -455,7 +419,7 @@ func testLevel(ctx context.Context, prog *ir.Program, refs []refRun, seed uint64
 				return fail(KindTimeout, ctx.Err().Error(), nil)
 			}
 			if opt.PerPass {
-				detail += blamePass(ctx, prog, level, v)
+				detail += blamePass(ctx, prog, level, pre)
 			}
 			return fail(KindMiscompile, detail, nil)
 		}
@@ -528,8 +492,8 @@ func safeOptimize(ctx context.Context, p *ir.Program, level core.Level, optimize
 // and names the first pass with an error diagnostic.  Best effort: the
 // real pipeline optimizes whole programs, so the blame run can only
 // narrow, never widen, the already-established miscompile.
-func blamePass(ctx context.Context, prog *ir.Program, level core.Level, v variant) string {
-	_, diags, err := core.CheckedOptimizeFor(ctx, prog, level, v.gvn, v.pre)
+func blamePass(ctx context.Context, prog *ir.Program, level core.Level, pre core.PREBackend) string {
+	_, diags, err := core.CheckedOptimizeFor(ctx, prog, level, pre)
 	for _, d := range check.Errors(diags) {
 		if d.Pass != "" {
 			return fmt.Sprintf(" [blamed pass: %s]", d.Pass)
@@ -547,7 +511,7 @@ func shrinkFailure(ctx context.Context, f *Failure, opt Options) {
 	reduced, ok := Shrink(ctx, f.Program, ShrinkOptions{
 		Level:    f.Level,
 		Kind:     f.Kind,
-		Optimize: opt.optimizeFor(variant{f.GVN, f.PRE}),
+		Optimize: opt.optimizeFor(f.PRE),
 		MaxSteps: opt.maxSteps(),
 	})
 	if ok && reduced.InstrCount() < f.Program.InstrCount() {
@@ -565,9 +529,6 @@ func writeArtifact(dir string, f *Failure) (string, error) {
 		return "", err
 	}
 	name := fmt.Sprintf("%s-seed%d-%s", f.Kind, f.Seed, f.Level)
-	if f.GVN != "" {
-		name += "-gvn-" + string(f.GVN)
-	}
 	if f.PRE != "" {
 		name += "-pre-" + string(f.PRE)
 	}
@@ -578,9 +539,6 @@ func writeArtifact(dir string, f *Failure) (string, error) {
 	fmt.Fprintf(&b, "# kind: %s\n", f.Kind)
 	fmt.Fprintf(&b, "# seed: %d\n", f.Seed)
 	fmt.Fprintf(&b, "# level: %s\n", f.Level)
-	if f.GVN != "" {
-		fmt.Fprintf(&b, "# gvn: %s\n", f.GVN)
-	}
 	if f.PRE != "" {
 		fmt.Fprintf(&b, "# pre: %s\n", f.PRE)
 	}

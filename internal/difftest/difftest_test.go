@@ -38,50 +38,9 @@ func TestCleanPipeline(t *testing.T) {
 	}
 }
 
-// TestGVNDiffMode: cross-backend differential fuzzing — both GVN
-// backends over the same programs, zero divergence expected from the
-// repo's own pipeline, and the mode doubles only the levels that have
-// a value-numbering slot.
-func TestGVNDiffMode(t *testing.T) {
-	rep, err := Run(Options{Seed: 1, N: 25, Workers: 4, GVNDiff: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Programs != 25 {
-		t.Fatalf("tested %d programs, want 25", rep.Programs)
-	}
-	for _, f := range rep.Failures {
-		t.Errorf("cross-backend divergence: %s\n%s", f.String(), f.Program)
-	}
-
-	// The backend fan-out applies exactly to the GVN-slot levels.
-	var o Options
-	o.GVNDiff = true
-	for _, l := range core.Levels {
-		got := len(o.variants(l))
-		want := 1
-		if l == core.LevelReassoc || l == core.LevelDist {
-			want = 2
-		}
-		if got != want {
-			t.Errorf("%s: tested with %d variants, want %d", l, got, want)
-		}
-	}
-	if len(Options{}.variants(core.LevelDist)) != 1 {
-		t.Error("GVNDiff off must test a single variant")
-	}
-
-	// A custom pipeline has no backend dimension; combining it with
-	// GVNDiff must be rejected, not silently degraded.
-	if _, err := Run(Options{N: 1, GVNDiff: true, Optimize: sabotage(core.LevelDist)}); err == nil {
-		t.Error("GVNDiff with custom Optimize did not error")
-	}
-}
-
 // TestPREDiffMode: cross-backend differential fuzzing over the two
 // PRE backends — zero divergence expected from the repo's own pipeline,
-// the fan-out applies exactly to the PRE-slot levels, and combining
-// with GVNDiff tests the full backend product.
+// and the fan-out applies exactly to the PRE-slot levels.
 func TestPREDiffMode(t *testing.T) {
 	rep, err := Run(Options{Seed: 1, N: 25, Workers: 4, PREDiff: true})
 	if err != nil {
@@ -106,12 +65,8 @@ func TestPREDiffMode(t *testing.T) {
 			t.Errorf("%s: tested with %d variants, want %d", l, got, want)
 		}
 	}
-	o.GVNDiff = true
-	if got := len(o.variants(core.LevelDist)); got != 4 {
-		t.Errorf("GVNDiff+PREDiff at dist: %d variants, want the full 2x2 product", got)
-	}
-	if got := len(o.variants(core.LevelPartial)); got != 2 {
-		t.Errorf("GVNDiff+PREDiff at partial: %d variants, want 2 (no GVN slot)", got)
+	if len(Options{}.variants(core.LevelDist)) != 1 {
+		t.Error("PREDiff off must test a single variant")
 	}
 
 	if _, err := Run(Options{N: 1, PREDiff: true, Optimize: sabotage(core.LevelPartial)}); err == nil {
@@ -128,7 +83,7 @@ func TestPREDiffTagsBackend(t *testing.T) {
 		prog := progen.Generate(*cfg, seed)
 		refs := referenceRuns(context.Background(), prog, 1<<20)
 		f = testLevel(context.Background(), prog, refs, seed, core.LevelPartial,
-			variant{core.GVNAWZ, core.PRELospre},
+			core.PRELospre,
 			Options{PREDiff: true, Optimize: sabotage(core.LevelPartial)})
 	}
 	if f == nil {
@@ -138,34 +93,6 @@ func TestPREDiffTagsBackend(t *testing.T) {
 		t.Errorf("failure PRE tag = %q, want lospre", f.PRE)
 	}
 	if !strings.Contains(f.String(), "pre=lospre") {
-		t.Errorf("failure string does not name the backend: %s", f.String())
-	}
-}
-
-// TestGVNDiffCatchesPreciseBug: a sabotaged precise backend (wrong
-// result only when the precise pipeline runs) is caught and the
-// failure names the backend.
-func TestGVNDiffCatchesPreciseBug(t *testing.T) {
-	// Sabotage cannot go through Options.Optimize in GVNDiff mode, so
-	// simulate the harness's per-backend loop directly: testLevel with
-	// a pipeline that miscompiles regardless of backend stands in for a
-	// precise-only bug — what matters is the failure's GVN tag.
-	cfg := smallConfig()
-	var f *Failure
-	for seed := uint64(1); seed <= 20 && f == nil; seed++ {
-		prog := progen.Generate(*cfg, seed)
-		refs := referenceRuns(context.Background(), prog, 1<<20)
-		f = testLevel(context.Background(), prog, refs, seed, core.LevelDist,
-			variant{core.GVNPrecise, core.PREDrechsler},
-			Options{GVNDiff: true, Optimize: sabotage(core.LevelDist)})
-	}
-	if f == nil {
-		t.Fatal("sabotaged pipeline not caught on any of 20 seeds")
-	}
-	if f.GVN != core.GVNPrecise {
-		t.Errorf("failure GVN tag = %q, want precise", f.GVN)
-	}
-	if !strings.Contains(f.String(), "gvn=precise") {
 		t.Errorf("failure string does not name the backend: %s", f.String())
 	}
 }
@@ -450,7 +377,7 @@ func TestShrinkPreservesKind(t *testing.T) {
 	}
 	refs := referenceRuns(context.Background(), reduced, 1<<20)
 	f := testLevel(context.Background(), reduced, refs, 1, core.LevelPartial,
-		variant{core.GVNAWZ, core.PREDrechsler},
+		core.PREDrechsler,
 		Options{Optimize: sabotage(core.LevelPartial)})
 	if f == nil || f.Kind != KindMiscompile {
 		t.Fatalf("reduced program no longer reproduces the miscompile: %+v", f)

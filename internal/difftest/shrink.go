@@ -130,9 +130,9 @@ func reproduces(ctx context.Context, cand *ir.Program, opt ShrinkOptions) bool {
 		return false
 	}
 	refs := referenceRuns(ctx, cand, opt.MaxSteps)
-	// The variant argument is irrelevant here: ShrinkOptions.Optimize is
+	// The backend argument is irrelevant here: ShrinkOptions.Optimize is
 	// always set and already bound to the failing pipeline variant.
-	f := testLevel(ctx, cand, refs, 0, opt.Level, variant{core.GVNAWZ, core.PREDrechsler}, Options{
+	f := testLevel(ctx, cand, refs, 0, opt.Level, core.PREDrechsler, Options{
 		Optimize: opt.Optimize,
 		MaxSteps: opt.MaxSteps,
 	})

@@ -1,6 +1,6 @@
 package gvn
 
 // ClassesForTest exposes the congruence partitioner to the external
-// regression test, which compares it against the retired byte-string
-// keying implementation.
+// tests: the regression test that compares it against the retired
+// byte-string keying implementation, and direct partition checks.
 var ClassesForTest = classes

@@ -51,7 +51,8 @@ func Run(f *ir.Func) Stats {
 // SSA construction here reuses it.
 func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	ssa.BuildWith(f, ssa.BuildOptions{Prune: true, FoldCopies: true}, ac)
-	st := Partition(f)
+	values, class := classes(f)
+	st := renameToReps(f, values, class)
 	ssa.DestructWith(f, ac)
 	return st
 }
@@ -222,26 +223,9 @@ func classes(f *ir.Func) ([]ir.Reg, []uint32) {
 	return values, class
 }
 
-// Partition value-numbers an SSA-form function and renames values to
-// class representatives in place (leaving the function in SSA form,
-// with duplicate φs removed).  Exposed separately so callers that
-// manage SSA themselves can reuse it; most callers want Run.
-func Partition(f *ir.Func) Stats {
-	values, class := classes(f)
-	return renameToReps(f, values, class)
-}
-
-// AWZClasses exposes the AWZ congruence partition of an SSA-form
-// function without renaming: the values in ascending register order
-// and a register-indexed class table (0 marks a non-value register).
-// The refinement tests and the gvncompare report consume it to compare
-// the two backends' partitions on identical SSA input.
-func AWZClasses(f *ir.Func) ([]ir.Reg, []uint32) { return classes(f) }
-
 // renameToReps encodes a congruence partition into the name space:
 // every member of a class is renamed to one representative register
-// and duplicated φ-nodes are removed.  Shared by both GVN backends —
-// they differ only in how the partition is computed.
+// and duplicated φ-nodes are removed.
 func renameToReps(f *ir.Func, values []ir.Reg, class []uint32) Stats {
 	// Pick one representative register per class and rewrite.  Values
 	// are visited in ascending register order, so representative

@@ -246,3 +246,41 @@ b0:
 		t.Errorf("call results wrongly merged: got %d, want 3", v.I)
 	}
 }
+
+// TestMixedIntFloatDistinct: loadI 0 and loadF 0 share a bit pattern
+// but must never be congruent, and neither may int and float
+// arithmetic over them.
+func TestMixedIntFloatDistinct(t *testing.T) {
+	const src = `
+func f(r1) {
+b0:
+    enter(r1)
+    loadI 0 => r2
+    loadF 0 => r3
+    loadI 0 => r4
+    loadF 0 => r5
+    add r2, r4 => r6
+    fadd r3, r5 => r7
+    ret r6
+}
+`
+	f := ir.MustParseFunc(src)
+	_, class := gvn.ClassesForTest(f)
+	for _, r := range []ir.Reg{2, 3, 4, 5, 6, 7} {
+		if class[r] == 0 {
+			t.Fatalf("r%d is not a value", r)
+		}
+	}
+	if class[2] == class[3] {
+		t.Errorf("int 0 and float 0.0 wrongly congruent")
+	}
+	if class[2] != class[4] {
+		t.Errorf("equal int constants not congruent")
+	}
+	if class[3] != class[5] {
+		t.Errorf("equal float constants not congruent")
+	}
+	if class[6] == class[7] {
+		t.Errorf("add and fadd results wrongly congruent")
+	}
+}

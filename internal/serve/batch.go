@@ -23,7 +23,6 @@ type BatchRequest struct {
 type BatchDefaults struct {
 	Lang  string `json:"lang,omitempty"`
 	Level string `json:"level,omitempty"`
-	GVN   string `json:"gvn,omitempty"`
 	PRE   string `json:"pre,omitempty"`
 	Check bool   `json:"check,omitempty"`
 }
@@ -65,7 +64,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -219,9 +218,6 @@ func applyDefaults(item *OptimizeRequest, d *BatchDefaults) {
 	}
 	if item.Level == "" {
 		item.Level = d.Level
-	}
-	if item.GVN == "" {
-		item.GVN = d.GVN
 	}
 	if item.PRE == "" {
 		item.PRE = d.PRE

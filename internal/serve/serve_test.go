@@ -173,62 +173,10 @@ func TestCanonicalAddressing(t *testing.T) {
 	}
 }
 
-// TestGVNBackendCacheDimension: the same source at the same level with
-// different GVN backends must address different cache slots — and an
-// invalid backend is a 400, not a cache entry.
-func TestGVNBackendCacheDimension(t *testing.T) {
-	s := newServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := OptimizeRequest{Source: serveSrc, Level: "reassoc",
-		Run: &RunSpec{Fn: "driver", Args: []string{"9"}}}
-	code, awz, raw := postOptimize(t, ts, req)
-	if code != http.StatusOK {
-		t.Fatalf("awz request: status %d: %s", code, raw)
-	}
-	if awz.GVN != "awz" {
-		t.Errorf("default backend reported as %q, want awz", awz.GVN)
-	}
-
-	req.GVN = "precise"
-	code2, precise, raw2 := postOptimize(t, ts, req)
-	if code2 != http.StatusOK {
-		t.Fatalf("precise request: status %d: %s", code2, raw2)
-	}
-	if precise.GVN != "precise" {
-		t.Errorf("backend reported as %q, want precise", precise.GVN)
-	}
-	if precise.Cached {
-		t.Error("precise request hit the awz cache entry")
-	}
-	if precise.Key == awz.Key {
-		t.Errorf("backends share cache key %s", awz.Key)
-	}
-	// Both backends compute the same value.
-	if precise.Run == nil || awz.Run == nil || precise.Run.Result != awz.Run.Result {
-		t.Errorf("backends disagree on the program result: %+v vs %+v", awz.Run, precise.Run)
-	}
-
-	// Explicit "awz" is the same dimension as the default.
-	req.GVN = "awz"
-	code3, again, _ := postOptimize(t, ts, req)
-	if code3 != http.StatusOK || !again.Cached || again.Key != awz.Key {
-		t.Errorf("explicit awz did not hit the default entry: status %d cached=%v", code3, again.Cached)
-	}
-
-	req.GVN = "bogus"
-	code4, _, raw4 := postOptimize(t, ts, req)
-	if code4 != http.StatusBadRequest {
-		t.Errorf("bogus backend: status %d, want 400 (%s)", code4, raw4)
-	}
-}
-
-// TestPREBackendCacheDimension mirrors the GVN test for the PRE slot:
-// the same program with a different `pre` field must address a distinct
-// cache entry, every backend pair gets its own slot, both backends
-// agree on the program's result, and a removed or unknown backend is
-// refused with a JSON 400 naming the valid ones.
+// TestPREBackendCacheDimension: the same program with a different `pre`
+// field must address a distinct cache entry, both backends agree on the
+// program's result, and a removed or unknown backend is refused with a
+// JSON 400 naming the valid ones.
 func TestPREBackendCacheDimension(t *testing.T) {
 	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -424,6 +372,39 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code, _, _ := postOptimize(t, ts, OptimizeRequest{Source: serveSrc, Lang: "pascal"}); code != http.StatusBadRequest {
 		t.Errorf("unknown language: status %d", code)
+	}
+
+	// Unknown fields — a misspelling, or an option the service no
+	// longer has — are refused with a JSON 400 naming the field rather
+	// than served with defaults.  Batch bodies are checked at every
+	// depth: the batch itself, its items and its defaults.  Trailing
+	// data after the body's JSON value is refused too.
+	src, _ := json.Marshal(serveSrc)
+	for _, c := range []struct{ path, body, field string }{
+		{"/optimize", `{"source":` + string(src) + `,"levle":"baseline"}`, "levle"},
+		{"/optimize", `{"source":` + string(src) + `,"format":"pascal"}`, "format"},
+		{"/optimize", `{"source":` + string(src) + `,"gvn":"precise"}`, "gvn"},
+		{"/optimize/batch", `{"items":[{"source":` + string(src) + `,"format":"pascal"}]}`, "format"},
+		{"/optimize/batch", `{"items":[{"source":` + string(src) + `}],"defaults":{"gvn":"precise"}}`, "gvn"},
+		{"/optimize/batch", `{"items":[{"source":` + string(src) + `}],"format":"pascal"}`, "format"},
+		{"/optimize", `{"source":` + string(src) + `} {}`, ""},
+	} {
+		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.path, c.body, resp.StatusCode)
+			continue
+		}
+		var e errorResponse
+		if err := json.Unmarshal(raw, &e); err != nil {
+			t.Errorf("%s: 400 body is not JSON: %q", c.path, raw)
+		} else if c.field != "" && !strings.Contains(e.Error, `"`+c.field+`"`) {
+			t.Errorf("%s: error %q does not name the unknown field %q", c.path, e.Error, c.field)
+		}
 	}
 
 	resp, err = ts.Client().Get(ts.URL + "/optimize")

@@ -155,7 +155,7 @@ type Server struct {
 	mux      *http.ServeMux
 	hs       *http.Server
 	version  string
-	versions map[backendPair]string
+	versions map[core.PREBackend]string
 	draining atomic.Bool
 
 	// computeGate, when set (tests only), is invoked at the start of
@@ -164,26 +164,17 @@ type Server struct {
 	computeGate func(key string)
 }
 
-// backendPair is one point of the (GVN × PRE) backend product — the
-// cache's backend dimension.
-type backendPair struct {
-	gvn core.GVNBackend
-	pre core.PREBackend
-}
-
 // New assembles a server (pool, cache, disk store, ring, metrics,
 // routes); it does not listen yet.  It fails only when a configured
 // CacheDir cannot be opened.
 func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg.withDefaults(), version: core.PipelineVersion()}
-	// Per-combination pipeline versions, each folded into the cache
-	// keys of the requests that select that backend pair: results
-	// computed by one backend combination can never answer for another.
-	s.versions = make(map[backendPair]string, len(core.GVNBackends)*len(core.PREBackends))
-	for _, g := range core.GVNBackends {
-		for _, p := range core.PREBackends {
-			s.versions[backendPair{g, p}] = core.PipelineVersionFor(g, p)
-		}
+	// Per-backend pipeline versions, each folded into the cache keys of
+	// the requests that select that PRE backend: results computed by
+	// one backend can never answer for another.
+	s.versions = make(map[core.PREBackend]string, len(core.PREBackends))
+	for _, p := range core.PREBackends {
+		s.versions[p] = core.PipelineVersionFor(p)
 	}
 	s.pool = NewPool(s.cfg.Workers, s.cfg.Queue)
 	s.cache = NewCache(s.cfg.CacheSize)
@@ -291,7 +282,6 @@ type reqSpec struct {
 	prog    *ir.Program
 	lang    string
 	level   core.Level
-	gvn     core.GVNBackend
 	pre     core.PREBackend
 	checked bool
 	run     *RunSpec
@@ -309,10 +299,6 @@ func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	gvnBackend, err := core.ParseGVNBackend(req.GVN)
-	if err != nil {
-		return nil, err
-	}
 	preBackend, err := core.ParsePREBackend(req.PRE)
 	if err != nil {
 		return nil, err
@@ -325,12 +311,11 @@ func (s *Server) prepare(req *OptimizeRequest) (*reqSpec, error) {
 		prog:    prog,
 		lang:    langName,
 		level:   level,
-		gvn:     gvnBackend,
 		pre:     preBackend,
 		checked: req.Check,
 		run:     req.Run,
 	}
-	spec.key = CacheKey(prog.String(), langName, string(level), s.versions[backendPair{gvnBackend, preBackend}], req.Check)
+	spec.key = CacheKey(prog.String(), langName, string(level), s.versions[preBackend], req.Check)
 	return spec, nil
 }
 
@@ -422,7 +407,7 @@ func (s *Server) serveLocal(ctx context.Context, spec *reqSpec, admitted bool) (
 // optimize is the cache-miss path, executed on a pool worker.
 func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, error) {
 	if spec.checked {
-		out, diags, err := core.CheckedOptimizeFor(ctx, spec.prog, spec.level, spec.gvn, spec.pre)
+		out, diags, err := core.CheckedOptimizeFor(ctx, spec.prog, spec.level, spec.pre)
 		if err != nil {
 			return nil, err
 		}
@@ -436,7 +421,6 @@ func (s *Server) optimize(ctx context.Context, spec *reqSpec) (*cachedResult, er
 		Ctx:     ctx,
 		Workers: s.cfg.OptWorkers,
 		OnPass:  s.metrics.ObservePass,
-		GVN:     spec.gvn,
 		PRE:     spec.pre,
 	})
 	if err != nil {
@@ -455,7 +439,6 @@ func (s *Server) respond(ctx context.Context, spec *reqSpec, res *cachedResult, 
 		DiskCached:  out.diskHit,
 		Level:       string(spec.level),
 		Lang:        spec.lang,
-		GVN:         string(spec.gvn),
 		PRE:         string(spec.pre),
 		ILOC:        res.iloc,
 		StaticOps:   res.staticOps,

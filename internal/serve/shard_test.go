@@ -91,7 +91,7 @@ func defaultKeyFor(t *testing.T, src, level string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	version := core.PipelineVersionFor(core.GVNAWZ, core.PREDrechsler)
+	version := core.PipelineVersionFor(core.PREDrechsler)
 	return CacheKey(prog.String(), langName, string(lvl), version, false)
 }
 
@@ -143,7 +143,7 @@ func TestTwoPeerSharding(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct, err := core.OptimizeWith(prog, lvl, core.OptimizeOptions{
-		GVN: core.GVNAWZ, PRE: core.PREDrechsler,
+		PRE: core.PREDrechsler,
 	})
 	if err != nil {
 		t.Fatal(err)

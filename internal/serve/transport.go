@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,13 +34,10 @@ type OptimizeRequest struct {
 	Lang string `json:"lang,omitempty"`
 	// Level is the optimization level name (default "reassoc").
 	Level string `json:"level,omitempty"`
-	// GVN selects the value-numbering backend: "awz" (default) or
-	// "precise".  The backend is a cache-key dimension — each backend
-	// has its own pipeline version, so results never cross over.
-	GVN string `json:"gvn,omitempty"`
 	// PRE selects the redundancy-elimination backend: "drechsler"
-	// (default) or "lospre".  Like GVN it is a cache-key
-	// dimension via the per-combination pipeline version.
+	// (default) or "lospre".  The backend is a cache-key dimension —
+	// each backend has its own pipeline version, so results never
+	// cross over.
 	PRE string `json:"pre,omitempty"`
 	// Check runs the optimization in checked mode: every pass is
 	// validated by the internal/check analyzers and the diagnostics are
@@ -79,8 +77,6 @@ type OptimizeResponse struct {
 	Level      string `json:"level"`
 	// Lang is the resolved source language ("mf", "pl0" or "iloc").
 	Lang string `json:"lang"`
-	// GVN is the value-numbering backend the result was produced with.
-	GVN string `json:"gvn"`
 	// PRE is the redundancy-elimination backend the result was
 	// produced with.
 	PRE string `json:"pre"`
@@ -114,7 +110,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req OptimizeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := decodeStrict(body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -244,19 +240,14 @@ func (s *Server) handleLevels(w http.ResponseWriter, r *http.Request) {
 		passes = append(passes, p.Name)
 	}
 	sort.Strings(passes)
-	gvnVersions := make(map[string]string, len(core.GVNBackends))
-	for _, g := range core.GVNBackends {
-		gvnVersions[string(g)] = s.versions[backendPair{g, core.PREDrechsler}]
-	}
 	preVersions := make(map[string]string, len(core.PREBackends))
 	for _, p := range core.PREBackends {
-		preVersions[string(p)] = s.versions[backendPair{core.GVNAWZ, p}]
+		preVersions[string(p)] = s.versions[p]
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"version":      s.version,
 		"levels":       levels,
 		"passes":       passes,
-		"gvn_backends": gvnVersions,
 		"pre_backends": preVersions,
 	})
 }
@@ -323,6 +314,21 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 // (load shedding and timeouts have their own counters).
 func (s *Server) failQuiet(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// decodeStrict decodes one JSON request body into v, refusing fields v
+// does not declare (at any depth) and trailing data, so a misspelled or
+// retired option is an error instead of a silently ignored default.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
