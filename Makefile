@@ -49,14 +49,18 @@ fuzz:
 # against the unoptimized reference, then 200 more in cross-backend
 # mode (-pre-diff: the PRE-carrying levels run under drechsler and
 # lospre — each backend is checked against the unoptimized reference
-# on its own), then 150 call-heavy programs in the same mode.  Any
-# miscompile, verifier reject, panic, or runaway exits nonzero with a
-# shrunk reproducer.
+# on its own), then 150 call-heavy programs in the same mode, then 12
+# 300-block programs in the same mode, so both backends' kill index and
+# the non-local liveness meet programs of the size where their cost
+# used to grow quadratically.  Any miscompile, verifier reject, panic,
+# or runaway exits nonzero with a shrunk reproducer.
 fuzz-smoke:
 	$(GO) run ./cmd/epre fuzz -seed 1 -n 200 -workers 4
 	$(GO) run ./cmd/epre fuzz -seed 1000 -n 200 -workers 4
 	$(GO) run ./cmd/epre fuzz -seed 2000 -n 200 -workers 4 -pre-diff
 	$(GO) run ./cmd/epre fuzz -seed 3000 -n 150 -workers 4 -call-heavy \
+		-pre-diff
+	$(GO) run ./cmd/epre fuzz -seed 4000 -n 12 -workers 4 -blocks 300 \
 		-pre-diff
 
 # Go micro-benchmarks, one iteration each so they stay compiling and

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/ir"
+	"repro/internal/progen"
 )
 
 // sabotageEnv, when set to a level name, wraps the pipeline with a
@@ -61,6 +62,7 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 	perPass := fs.Bool("per-pass", false, "re-validate miscompiles pass by pass to name the guilty pass")
 	preDiff := fs.Bool("pre-diff", false, "cross-backend mode: test every PRE-carrying level with the drechsler and lospre backends")
 	callHeavy := fs.Bool("call-heavy", false, "force the generator's call-heavy shape: dense call sites and depth-two call chains")
+	blocks := fs.Int("blocks", 0, "generate every program with the default shape and N body blocks (0 = the per-seed sweep of 3-10)")
 	timeout := fs.Duration("timeout", 0, "overall run deadline (0 = none)")
 	stats := fs.Bool("stats", false, "print expvar-style run metrics")
 	fs.Parse(args)
@@ -98,6 +100,13 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "fuzz: %s=%s — pipeline deliberately broken for testing\n", sabotageEnv, lv)
 	}
 
+	var shape *progen.Config
+	if *blocks > 0 {
+		cfg := progen.Default()
+		cfg.Blocks = *blocks
+		shape = &cfg
+	}
+
 	metrics := difftest.NewMetrics()
 	rep, err := difftest.Run(difftest.Options{
 		Optimize:    optimize,
@@ -111,6 +120,7 @@ func cmdFuzz(args []string, stdout io.Writer) error {
 		PerPass:     *perPass,
 		PREDiff:     *preDiff,
 		CallHeavy:   *callHeavy,
+		Config:      shape,
 		Metrics:     metrics,
 	})
 	if err != nil {

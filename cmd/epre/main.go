@@ -117,7 +117,7 @@ func usage(w io.Writer) {
                      and counter deltas (written to -out if given)
   epre fuzz [-seed N] [-n N] [-level L|all] [-workers N] [-shrink]
             [-artifact-dir DIR] [-per-pass] [-pre-diff] [-call-heavy]
-            [-timeout 5m] [-stats]
+            [-blocks N] [-timeout 5m] [-stats]
                      differential fuzzing: random programs vs. the
                      reference interpreter at every optimization level
                      (-pre-diff additionally cross-checks the drechsler

@@ -351,6 +351,33 @@ func TestFuzzMiscompileExit(t *testing.T) {
 	}
 }
 
+// TestFuzzBlocksFlag checks that -blocks reaches the generator: the
+// unshrunk reproducer of a sabotaged run has the requested size.
+func TestFuzzBlocksFlag(t *testing.T) {
+	t.Setenv("EPRE_FUZZ_SABOTAGE", "partial")
+	dir := filepath.Join(t.TempDir(), "artifacts")
+	code, stdout, _ := runEpre(t, "fuzz", "-seed", "1", "-n", "1", "-level", "partial",
+		"-blocks", "60", "-shrink=false", "-artifact-dir", dir)
+	if code == 0 {
+		t.Fatalf("sabotaged fuzz run exited 0:\n%s", stdout)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("want one artifact, got %d (err %v)", len(entries), err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ir.ParseProgramString(string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := p.Func("main"); f == nil || len(f.Blocks) < 60 {
+		t.Errorf("reproducer's main is not a 60-block program:\n%s", data)
+	}
+}
+
 func TestFuzzPREDiffFlag(t *testing.T) {
 	code, stdout, stderr := runEpre(t, "fuzz", "-seed", "1", "-n", "8", "-workers", "2", "-pre-diff")
 	if code != 0 {

@@ -16,6 +16,8 @@ type Stats struct {
 	Coalesced int // copies removed by merging names
 	SelfCopy  int // trivial "copy r => r" removed
 	Rounds    int
+	Edges     int // interference edges built, summed over rounds
+	AdjVisits int // adjacency entries visited while merging classes
 }
 
 // Run coalesces copies in f until no more merges are possible.  It
@@ -39,26 +41,37 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		}
 	}
 	g := &interference{pairs: make(map[uint64]struct{})}
+	live := dataflow.NewSparseSet(f.NumRegs()) // renaming never grows the namespace
 	for {
 		st.Rounds++
-		merged := coalesceRound(f, ac, g, &st)
+		merged := coalesceRound(f, ac, g, live, &st)
 		if !merged {
 			return st
 		}
 	}
 }
 
-// interference is a sparse symmetric adjacency over registers: a hash
-// set of packed register pairs answers membership, and an index-linked
+// interference is a sparse symmetric adjacency over graph nodes: a
+// hash set of packed node pairs answers membership, and an index-linked
 // edge list drives neighbor iteration.  Edges live in two flat arrays
-// (to, next) threaded through per-register head indices, so adding an
-// edge never allocates beyond the amortized growth of those arrays —
-// per-register append slices would pay a grow-allocation per register
-// instead.  All storage survives round over round (reset, not
-// reallocated).
+// (to, next) threaded through per-node head indices, so adding an edge
+// never allocates beyond the amortized growth of those arrays —
+// per-node append slices would pay a grow-allocation per node instead.
+// All storage survives round over round (reset, not reallocated).
+//
+// Nodes are register numbers, and each coalescing class owns one: at
+// the start of a round every register is its own class and node.  A
+// merge keeps the larger of the two classes' adjacencies as the merged
+// class's node and folds the smaller into it, so an entry is copied
+// only while its list is the smaller one.  The class's representative
+// — the name the rewrite prints — is chosen by the caller, apart from
+// the node, so folding in either direction renames nothing.
 type interference struct {
 	pairs map[uint64]struct{}
-	head  []int32 // first edge index per register, -1 when none
+	node  []ir.Reg // graph node of each class, indexed by representative
+	dead  []bool   // node folded into another; its edges are stale
+	head  []int32  // first edge index per node, -1 when none
+	deg   []int32  // edge entries per node, stale ones included
 	to    []ir.Reg
 	next  []int32
 }
@@ -70,21 +83,33 @@ func pairKey(a, b ir.Reg) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// reset empties the graph and re-dimensions it for nr registers.
+// reset empties the graph and re-dimensions it for nr registers, each
+// its own class and node.
 func (g *interference) reset(nr int) {
 	clear(g.pairs)
-	if cap(g.head) < nr {
-		g.head = make([]int32, nr)
-	} else {
-		g.head = g.head[:nr]
-	}
-	for i := range g.head {
+	g.node = resize(g.node, nr)
+	g.dead = resize(g.dead, nr)
+	g.head = resize(g.head, nr)
+	g.deg = resize(g.deg, nr)
+	for i := 0; i < nr; i++ {
+		g.node[i] = ir.Reg(i)
+		g.dead[i] = false
 		g.head[i] = -1
+		g.deg[i] = 0
 	}
 	g.to = g.to[:0]
 	g.next = g.next[:0]
 }
 
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// add records that nodes a and b interfere.
 func (g *interference) add(a, b ir.Reg) {
 	if a == b {
 		return
@@ -97,37 +122,51 @@ func (g *interference) add(a, b ir.Reg) {
 	g.to = append(g.to, b)
 	g.next = append(g.next, g.head[a])
 	g.head[a] = int32(len(g.to) - 1)
+	g.deg[a]++
 	g.to = append(g.to, a)
 	g.next = append(g.next, g.head[b])
 	g.head[b] = int32(len(g.to) - 1)
+	g.deg[b]++
 }
 
+// has reports whether the classes represented by a and b interfere.
 func (g *interference) has(a, b ir.Reg) bool {
-	_, ok := g.pairs[pairKey(a, b)]
+	_, ok := g.pairs[pairKey(g.node[a], g.node[b])]
 	return ok
 }
 
-// union merges b's adjacency into a's (conservative after coalescing).
-// New edges are appended past the end of b's chain, so the traversal
-// never revisits them.
-func (g *interference) union(a, b ir.Reg) {
-	for e := g.head[b]; e >= 0; e = g.next[e] {
-		if n := g.to[e]; n != a {
-			g.add(a, n)
+// union merges class d into class s, which keeps its representative,
+// and returns the adjacency entries visited.  The smaller adjacency is
+// folded into the larger, skipping entries for nodes already folded
+// away; every live neighbor of either class becomes a neighbor of the
+// merged node, so has stays exact.  New edges are prepended to the
+// larger chain, which the traversal of the smaller never reaches.
+func (g *interference) union(s, d ir.Reg) int {
+	big, small := g.node[s], g.node[d]
+	if g.deg[small] > g.deg[big] {
+		big, small = small, big
+	}
+	visits := 0
+	for e := g.head[small]; e >= 0; e = g.next[e] {
+		visits++
+		if n := g.to[e]; n != big && !g.dead[n] {
+			g.add(big, n)
 		}
 	}
+	g.dead[small] = true
+	g.node[s] = big
+	return visits
 }
 
-func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) bool {
+func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, live *dataflow.SparseSet, st *Stats) bool {
 	lv := ac.Liveness()
 	g.reset(f.NumRegs())
 
 	// Build interference: at each definition of r, r interferes with
 	// everything live after the instruction; for a copy d ← s, d does
 	// not interfere with s on account of this def.
-	live := dataflow.NewBitSet(f.NumRegs())
 	for _, b := range f.Blocks {
-		live.CopyFrom(lv.LiveOut[b.ID])
+		lv.LoadLiveOut(b, live)
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instr(i)
 			defs := in.Args
@@ -142,22 +181,24 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 				if in.Op == ir.OpCopy {
 					skip = in.Args[0]
 				}
-				live.ForEach(func(l int) {
+				for _, l := range live.Members() {
 					if ir.Reg(l) != skip {
 						g.add(d, ir.Reg(l))
 					}
-				})
+				}
 			}
 			for _, d := range defs {
-				live.Clear(int(d))
+				live.Remove(int(d))
 			}
 			if in.Op != ir.OpEnter {
 				for _, a := range in.Args {
-					live.Set(int(a))
+					live.Add(int(a))
 				}
 			}
 		}
 	}
+
+	st.Edges += len(g.pairs)
 
 	// Union-find over registers so multiple merges compose in one round.
 	parent := make([]ir.Reg, f.NumRegs())
@@ -188,7 +229,7 @@ func coalesceRound(f *ir.Func, ac *analysis.Cache, g *interference, st *Stats) b
 			}
 			// Merge d into s.
 			parent[d] = s
-			g.union(s, d)
+			st.AdjVisits += g.union(s, d)
 			merged = true
 		}
 	}

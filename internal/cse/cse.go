@@ -72,7 +72,7 @@ func RunDominatorWith(f *ir.Func, ac *analysis.Cache) Stats {
 				}
 			}
 			kept = append(kept, inID)
-			killUpdate(u, local, in)
+			u.KillScan(local, in.Dst, in.Op.WritesMemory())
 		}
 		b.Instrs = kept
 		for _, c := range dom.Children(b) {
@@ -189,7 +189,7 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 				}
 			}
 			kept = append(kept, inID)
-			killUpdate(u, avail, in)
+			u.KillScan(avail, in.Dst, in.Op.WritesMemory())
 		}
 		b.Instrs = kept
 	}
@@ -198,27 +198,6 @@ func RunAvailWith(f *ir.Func, ac *analysis.Cache) Stats {
 		f.MarkCodeMutated()
 	}
 	return st
-}
-
-// killUpdate clears expressions invalidated by in: loads on memory
-// writes, and anything whose operand in defines.
-func killUpdate(u *dataflow.Universe, set *dataflow.BitSet, in *ir.Instr) {
-	n := u.NumExprs()
-	if in.Op.WritesMemory() {
-		for e := 0; e < n; e++ {
-			if u.IsLoad[e] {
-				set.Clear(e)
-			}
-		}
-	}
-	if in.Dst == ir.NoReg {
-		return
-	}
-	for e := 0; e < n; e++ {
-		if k := u.Keys[e]; k.A == in.Dst || k.B == in.Dst {
-			set.Clear(e)
-		}
-	}
 }
 
 // CanonicalDsts finds the naming-discipline canonical destination per

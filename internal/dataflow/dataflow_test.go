@@ -151,8 +151,8 @@ b3:
 	}
 	check := func(block string, reg ir.Reg, wantIn bool) {
 		t.Helper()
-		if got := lv.LiveIn[byName[block].ID].Has(int(reg)); got != wantIn {
-			t.Errorf("LiveIn[%s][r%d] = %v, want %v", block, reg, got, wantIn)
+		if got := lv.LiveInHas(byName[block], reg); got != wantIn {
+			t.Errorf("LiveInHas(%s, r%d) = %v, want %v", block, reg, got, wantIn)
 		}
 	}
 	check("b3", 4, true)
@@ -190,13 +190,13 @@ b3:
 	for _, b := range f.Blocks {
 		byName[b.Name] = b
 	}
-	if !lv.LiveOut[byName["b1"].ID].Has(3) {
+	if !lv.LiveOutHas(byName["b1"], 3) {
 		t.Error("r3 must be live out of b1 (φ use)")
 	}
-	if lv.LiveOut[byName["b2"].ID].Has(3) {
+	if lv.LiveOutHas(byName["b2"], 3) {
 		t.Error("r3 must not be live out of b2")
 	}
-	if lv.LiveIn[byName["b3"].ID].Has(3) {
+	if lv.LiveInHas(byName["b3"], 3) {
 		t.Error("φ operands are not live-in to the φ's block")
 	}
 }

@@ -85,6 +85,15 @@ type Universe struct {
 	Transp []*BitSet // operands (and memory, for loads) untouched in block
 	AntLoc []*BitSet // locally anticipatable: computed before any kill
 	Comp   []*BitSet // locally available: computed and not killed after
+
+	// The kill index.  usedBy[usedByOffs[r]:usedByOffs[r+1]] lists the
+	// expressions having register r as an operand, stored counting-sort
+	// style in one flat array; loads lists every load.  A definition of
+	// r kills exactly usedBy(r) and a memory write exactly loads, so a
+	// kill costs the expressions it kills, not the universe.
+	usedByOffs []int32
+	usedBy     []int32
+	loads      []int32
 }
 
 // BuildUniverse scans f and computes the expression universe and its
@@ -108,10 +117,6 @@ func BuildUniverse(f *ir.Func) *Universe {
 	}
 	n := len(u.Keys)
 
-	// usedBy[r] lists expressions having register r as an operand,
-	// stored counting-sort style: one flat array partitioned by
-	// per-register offsets, so building it costs two allocations
-	// rather than one grow-append chain per register.
 	nr := f.NumRegs()
 	offs := make([]int32, nr+1)
 	for _, k := range u.Keys {
@@ -125,24 +130,23 @@ func BuildUniverse(f *ir.Func) *Universe {
 	for r := 0; r < nr; r++ {
 		offs[r+1] += offs[r]
 	}
-	usedByFlat := make([]int32, offs[nr])
+	u.usedByOffs = offs
+	u.usedBy = make([]int32, offs[nr])
 	fill := make([]int32, nr)
 	copy(fill, offs[:nr])
 	for i, k := range u.Keys {
 		if k.A != ir.NoReg {
-			usedByFlat[fill[k.A]] = int32(i)
+			u.usedBy[fill[k.A]] = int32(i)
 			fill[k.A]++
 		}
 		if k.B != ir.NoReg && k.B != k.A {
-			usedByFlat[fill[k.B]] = int32(i)
+			u.usedBy[fill[k.B]] = int32(i)
 			fill[k.B]++
 		}
 	}
-	usedBy := func(r ir.Reg) []int32 { return usedByFlat[offs[r]:offs[r+1]] }
-	loads := NewBitSet(n)
 	for i, isLd := range u.IsLoad {
 		if isLd {
-			loads.Set(i)
+			u.loads = append(u.loads, int32(i))
 		}
 	}
 
@@ -156,11 +160,6 @@ func BuildUniverse(f *ir.Func) *Universe {
 		transp.SetAll()
 		killed.ClearAll()
 
-		kill := func(e int) {
-			killed.Set(e)
-			transp.Clear(e)
-			comp.Clear(e)
-		}
 		for i := range b.Instrs {
 			in := b.Instr(i)
 			if e, ok := u.Index[mustKey(in)]; ok {
@@ -169,12 +168,11 @@ func BuildUniverse(f *ir.Func) *Universe {
 				}
 				comp.Set(e)
 			}
-			if in.Op.WritesMemory() {
-				loads.ForEach(kill)
-			}
-			if in.Dst != ir.NoReg {
-				for _, e := range usedBy(in.Dst) {
-					kill(int(e))
+			for _, list := range u.killedBy(in.Dst, in.Op.WritesMemory()) {
+				for _, e := range list {
+					killed.Set(int(e))
+					transp.Clear(int(e))
+					comp.Clear(int(e))
 				}
 			}
 		}
@@ -214,29 +212,35 @@ func (u *Universe) MakeInstr(e int, dst ir.Reg) *ir.Instr {
 	return u.Fn.NewInstr(k.Op, dst)
 }
 
+// killedBy returns the expressions an instruction defining dst (NoReg
+// for none) kills, as the two index lists: the users of dst, and the
+// loads when the instruction may write memory.  A register allocated
+// after the universe was built is an operand of no expression.
+func (u *Universe) killedBy(dst ir.Reg, memWrite bool) [2][]int32 {
+	var lists [2][]int32
+	if dst != ir.NoReg && int(dst)+1 < len(u.usedByOffs) {
+		lists[0] = u.usedBy[u.usedByOffs[dst]:u.usedByOffs[dst+1]]
+	}
+	if memWrite {
+		lists[1] = u.loads
+	}
+	return lists
+}
+
 // KillScan clears valid-set entries invalidated by an instruction: any
 // expression with dst as an operand and, when memWrite is set, every
 // load.  It is the in-block bookkeeping the rewriting phases of the
 // redundancy-elimination backends share while walking a block's
-// instructions with a "temporary still holds expression e" vector.
-func (u *Universe) KillScan(valid *BitSet, dst ir.Reg, memWrite bool) {
-	n := len(u.Keys)
-	if memWrite {
-		for e := 0; e < n; e++ {
-			if u.IsLoad[e] && valid.Has(e) {
-				valid.Clear(e)
-			}
+// instructions with a "temporary still holds expression e" vector.  It
+// visits only the expressions it kills, through the universe's kill
+// index, and returns how many that was.
+func (u *Universe) KillScan(valid *BitSet, dst ir.Reg, memWrite bool) int {
+	visits := 0
+	for _, list := range u.killedBy(dst, memWrite) {
+		for _, e := range list {
+			valid.Clear(int(e))
 		}
+		visits += len(list)
 	}
-	if dst == ir.NoReg {
-		return
-	}
-	for e := 0; e < n; e++ {
-		if !valid.Has(e) {
-			continue
-		}
-		if k := u.Keys[e]; k.A == dst || k.B == dst {
-			valid.Clear(e)
-		}
-	}
+	return visits
 }

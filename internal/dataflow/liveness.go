@@ -5,11 +5,23 @@ import (
 	"repro/internal/ir"
 )
 
-// Liveness holds per-block live-in/live-out register sets.  Registers
-// are the elements; the sets have capacity fn.NumRegs().
+// Liveness holds per-block live-in/live-out register sets.
+//
+// Only a non-local register can be live across a block boundary: one
+// that some block uses before defining it, or that is a φ operand (the
+// "non-locals" of semi-pruned SSA; Briggs, Cooper, Harvey and Simpson,
+// SPE 1998).  Every other register is born and dies inside one block.
+// The solver numbers the non-locals densely and keeps its sets over
+// that universe alone, so a solve costs blocks × non-locals rather than
+// blocks × the function's whole register namespace — which, with
+// register numbers never reused, grows with every pass.  Consumers ask
+// membership questions or load a block's live-out into a SparseSet
+// indexed by register; no full-width set is exposed.
 type Liveness struct {
-	LiveIn  []*BitSet // indexed by block ID
-	LiveOut []*BitSet
+	regs    []ir.Reg  // dense index → register, ascending
+	index   []int32   // register → dense index, -1 for local registers
+	in, out []*BitSet // indexed by block ID, capacity len(regs)
+	words   int
 }
 
 // ComputeLiveness solves backward liveness over the CFG.  φ-nodes are
@@ -17,80 +29,104 @@ type Liveness struct {
 // corresponding predecessor, not live into the φ's own block.
 func ComputeLiveness(f *ir.Func) *Liveness {
 	livenessBuilds.Add(1)
-	n := len(f.Blocks)
+	nb := len(f.Blocks)
 	nr := f.NumRegs()
-	lv := &Liveness{
-		LiveIn:  make([]*BitSet, n),
-		LiveOut: make([]*BitSet, n),
-	}
-	// All 4n per-block sets come from two bulk allocations (the BitSet
-	// headers and one flat word array) instead of 4n separate
-	// NewBitSet calls.  LiveIn/LiveOut escape to the caller inside
-	// those bulk arrays; use/def occupy the tail of the same arrays
-	// and die with this frame.
-	w := (nr + 63) / 64
-	hdrs := make([]BitSet, 4*n)
-	words := make([]uint64, 4*n*w)
-	for i := range hdrs {
-		hdrs[i] = BitSet{words: words[i*w : (i+1)*w], n: nr}
-	}
-	use := hdrs[2*n : 3*n] // upward-exposed non-φ uses
-	def := hdrs[3*n:]      // registers defined in block
 
-	for _, b := range f.Blocks {
-		lv.LiveIn[b.ID] = &hdrs[2*b.ID]
-		lv.LiveOut[b.ID] = &hdrs[2*b.ID+1]
+	// Find the non-locals.  definedIn[r] is 1 + the ID of the block
+	// being scanned once it has defined r there, and index[r] is set
+	// to 0 for each non-local found, before the dense numbering below.
+	lv := &Liveness{index: make([]int32, nr)}
+	for i := range lv.index {
+		lv.index[i] = -1
 	}
+	definedIn := make([]int32, nr)
 	for _, b := range f.Blocks {
+		stamp := int32(b.ID + 1)
 		for ii := range b.Instrs {
 			in := b.Instr(ii)
 			if in.Op == ir.OpPhi {
-				// φ defs happen "on entry"; uses are charged to the
-				// predecessors during the fixed-point loop below.
-				if in.Dst != ir.NoReg {
-					def[b.ID].Set(int(in.Dst))
+				for _, a := range in.Args {
+					lv.index[a] = 0
 				}
-				continue
-			}
-			for _, a := range in.Args {
-				if !def[b.ID].Has(int(a)) {
-					use[b.ID].Set(int(a))
+			} else {
+				for _, a := range in.Args {
+					if definedIn[a] != stamp {
+						lv.index[a] = 0
+					}
 				}
 			}
 			if in.Dst != ir.NoReg {
-				def[b.ID].Set(int(in.Dst))
+				definedIn[in.Dst] = stamp
+			}
+		}
+	}
+	for r, x := range lv.index {
+		if x == 0 {
+			lv.index[r] = int32(len(lv.regs))
+			lv.regs = append(lv.regs, ir.Reg(r))
+		}
+	}
+
+	m := len(lv.regs)
+	sets := NewBitSetFamily(4*nb, m)
+	lv.in, lv.out = sets[:nb], sets[nb:2*nb]
+	use := sets[2*nb : 3*nb] // upward-exposed non-φ uses
+	def := sets[3*nb:]       // non-locals defined in block
+	for _, b := range f.Blocks {
+		u, d := use[b.ID], def[b.ID]
+		for ii := range b.Instrs {
+			in := b.Instr(ii)
+			// φ defs happen "on entry"; φ uses are charged to the
+			// predecessors during the fixed-point loop below.
+			if in.Op != ir.OpPhi {
+				for _, a := range in.Args {
+					if x := int(lv.index[a]); x >= 0 && !d.Has(x) {
+						u.Set(x)
+					}
+				}
+			}
+			if in.Dst != ir.NoReg {
+				if x := lv.index[in.Dst]; x >= 0 {
+					d.Set(int(x))
+				}
 			}
 		}
 	}
 
 	// Iterate to fixed point in postorder (reverse RPO) for speed.
 	// One scratch vector serves every block and every round.
+	w := (m + 63) / 64
 	rpo := cfg.ReversePostorder(f)
-	in := NewBitSet(nr)
+	tmp := NewBitSet(m)
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {
 			b := rpo[i]
-			out := lv.LiveOut[b.ID]
+			out := lv.out[b.ID]
 			for _, s := range b.Succs {
-				if out.Union(lv.LiveIn[s.ID]) {
+				if out.Union(lv.in[s.ID]) {
 					changed = true
 				}
+				lv.words += w
 				// φ operands flowing along this edge.
 				pi := s.PredIndex(b)
 				for _, pid := range s.Phis() {
 					phi := f.Instr(pid)
-					if pi < len(phi.Args) && !out.Has(int(phi.Args[pi])) {
-						out.Set(int(phi.Args[pi]))
-						changed = true
+					if pi < len(phi.Args) {
+						if x := int(lv.index[phi.Args[pi]]); !out.Has(x) {
+							out.Set(x)
+							changed = true
+						}
 					}
 				}
 			}
-			in.CopyFrom(out)
-			in.Subtract(&def[b.ID])
-			in.Union(&use[b.ID])
-			if !in.Equal(lv.LiveIn[b.ID]) {
-				lv.LiveIn[b.ID].CopyFrom(in)
+			tmp.CopyFrom(out)
+			tmp.Subtract(def[b.ID])
+			tmp.Union(use[b.ID])
+			lv.words += 4 * w // the three steps above and the compare
+			if !tmp.Equal(lv.in[b.ID]) {
+				lv.in[b.ID].CopyFrom(tmp)
+				lv.words += w
 				changed = true
 			}
 		}
@@ -98,21 +134,31 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 	return lv
 }
 
-// LiveAcrossBlocks returns the set of registers that are live into some
-// block, i.e. whose values cross a basic-block boundary.  The paper's
-// §5.1 correctness rule requires that no *expression name* be in this
-// set when PRE runs.
-func LiveAcrossBlocks(f *ir.Func) *BitSet {
-	lv := ComputeLiveness(f)
-	s := NewBitSet(f.NumRegs())
-	for _, b := range f.Blocks {
-		s.Union(lv.LiveIn[b.ID])
-		// φ operands cross the edge even if not live-in.
-		for _, pid := range b.Phis() {
-			for _, a := range f.Instr(pid).Args {
-				s.Set(int(a))
-			}
-		}
+// has reports whether register r is in one of the solver's sets.
+// Registers outside the namespace the solve saw are never live.
+func (lv *Liveness) has(sets []*BitSet, b *ir.Block, r ir.Reg) bool {
+	if int(r) >= len(lv.index) || lv.index[r] < 0 {
+		return false
 	}
-	return s
+	return sets[b.ID].Has(int(lv.index[r]))
 }
+
+// LiveInHas reports whether register r is live on entry to b.
+func (lv *Liveness) LiveInHas(b *ir.Block, r ir.Reg) bool { return lv.has(lv.in, b, r) }
+
+// LiveOutHas reports whether register r is live on exit from b.
+func (lv *Liveness) LiveOutHas(b *ir.Block, r ir.Reg) bool { return lv.has(lv.out, b, r) }
+
+// LoadLiveOut replaces the contents of s, a set over register numbers,
+// with b's live-out registers.  It costs the non-local universe's words
+// plus the members, independent of the register namespace, so a
+// backward walk can reuse one set for every block.
+func (lv *Liveness) LoadLiveOut(b *ir.Block, s *SparseSet) {
+	s.Clear()
+	lv.out[b.ID].ForEach(func(x int) { s.Add(int(lv.regs[x])) })
+}
+
+// WordsTouched returns the number of bit-vector words the fixed-point
+// iteration read or wrote: a deterministic measure of the solve's
+// cost, for work-counter tests.
+func (lv *Liveness) WordsTouched() int { return lv.words }

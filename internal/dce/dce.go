@@ -7,6 +7,7 @@ package dce
 
 import (
 	"repro/internal/analysis"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
@@ -23,14 +24,17 @@ func Run(f *ir.Func) Stats {
 // RunWith is Run drawing liveness from the given cache.  Deletions go
 // through Block.RemoveAt, which bumps the code generation, so each
 // round's liveness is fresh — and the final (no-op) round leaves valid
-// liveness in the cache for the next pass.
+// liveness in the cache for the next pass.  One sparse set, sized to
+// the register namespace (which deletion never grows), carries the live
+// registers through every block's backward walk.
 func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 	var st Stats
+	live := dataflow.NewSparseSet(f.NumRegs())
 	for {
 		lv := ac.Liveness()
 		removed := 0
 		for _, b := range f.Blocks {
-			live := lv.LiveOut[b.ID].Copy()
+			lv.LoadLiveOut(b, live)
 			// Walk backwards; collect deletions by index.
 			var dead []int
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
@@ -43,11 +47,11 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 					continue
 				}
 				if in.Dst != ir.NoReg {
-					live.Clear(int(in.Dst))
+					live.Remove(int(in.Dst))
 				}
 				if in.Op != ir.OpPhi { // φ uses belong to predecessors
 					for _, a := range in.Args {
-						live.Set(int(a))
+						live.Add(int(a))
 					}
 				}
 			}

@@ -42,6 +42,7 @@ type Stats struct {
 	EdgesSplit    int // critical edges split
 	RemovedBlocks int // unreachable blocks dropped before analysis
 	Rounds        int // iterations used by RunToFixpoint
+	KillVisits    int // expressions visited by in-block kills while rewriting
 }
 
 // Changed reports whether the run made optimization progress — the
@@ -80,6 +81,7 @@ func RunToFixpointWith(f *ir.Func, ac *analysis.Cache) Stats {
 		total.Deleted += st.Deleted
 		total.EdgesSplit += st.EdgesSplit
 		total.RemovedBlocks += st.RemovedBlocks
+		total.KillVisits += st.KillVisits
 		total.ModeA = st.ModeA
 		total.Exprs = st.Exprs
 		total.Rounds++
@@ -371,7 +373,7 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 						// Mode B redundant: copy from the temp.
 						kept = append(kept, f.NewCopy(in.Dst, temp[e]).ID())
 						st.Rewritten++
-						killScan(u, hValid, n, dstForKill, false)
+						st.KillVisits += u.KillScan(hValid, dstForKill, false)
 						continue
 					default:
 						// Mode B first (or post-kill) computation:
@@ -379,13 +381,13 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 						kept = append(kept, u.MakeInstr(e, temp[e]).ID(), f.NewCopy(in.Dst, temp[e]).ID())
 						hValid.Set(e)
 						st.Rewritten++
-						killScan(u, hValid, n, dstForKill, false)
+						st.KillVisits += u.KillScan(hValid, dstForKill, false)
 						continue
 					}
 				}
 			}
 			kept = append(kept, inID)
-			killScan(u, hValid, n, dstForKill, in.Op.WritesMemory())
+			st.KillVisits += u.KillScan(hValid, dstForKill, in.Op.WritesMemory())
 		}
 		b.Instrs = kept
 	}
@@ -394,29 +396,6 @@ func RunWith(f *ir.Func, ac *analysis.Cache) Stats {
 		f.MarkCodeMutated()
 	}
 	return st
-}
-
-// killScan clears hValid entries invalidated by a definition of dst
-// and, when memWrite is set, by a potential memory write (loads).
-func killScan(u *dataflow.Universe, hValid *dataflow.BitSet, n int, dst ir.Reg, memWrite bool) {
-	if memWrite {
-		for e := 0; e < n; e++ {
-			if u.IsLoad[e] && hValid.Has(e) {
-				hValid.Clear(e)
-			}
-		}
-	}
-	if dst == ir.NoReg {
-		return
-	}
-	for e := 0; e < n; e++ {
-		if !hValid.Has(e) {
-			continue
-		}
-		if k := u.Keys[e]; k.A == dst || k.B == dst {
-			hValid.Clear(e)
-		}
-	}
 }
 
 // canonicalDsts finds, for each expression, the Mode A canonical

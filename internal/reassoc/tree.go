@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/ir"
 )
@@ -193,15 +192,8 @@ func flatten(n *Node, allowFloat bool) *Node {
 // nodes by ascending rank.  Ties break on a deterministic structural
 // key so output code is stable run to run.
 func sortKids(n *Node, allowFloat bool) {
-	scr := scratchPool.Get().(*sortScratch)
-	sortKidsRec(n, allowFloat, scr)
-	scratchPool.Put(scr)
+	sortKidsRec(n, allowFloat, new(sortScratch))
 }
-
-// scratchPool recycles sort scratch across trees (and safely across
-// the concurrent table runs, which is why this is a sync.Pool rather
-// than a package-level buffer).
-var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // sortScratch is reused across every node of one sortKids walk.  A
 // child's sort completes before its parent consults the scratch, so a

@@ -159,8 +159,9 @@ func buildInterference(f *ir.Func) (*graph, map[ir.Reg]bool) {
 			}
 		}
 	}
+	live := dataflow.NewSparseSet(f.NumRegs())
 	for _, b := range f.Blocks {
-		live := lv.LiveOut[b.ID].Copy()
+		lv.LoadLiveOut(b, live)
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instr(i)
 			defs := []ir.Reg(nil)
@@ -175,19 +176,19 @@ func buildInterference(f *ir.Func) (*graph, map[ir.Reg]bool) {
 				if in.Op == ir.OpCopy {
 					skip = in.Args[0]
 				}
-				live.ForEach(func(l int) {
+				for _, l := range live.Members() {
 					if ir.Reg(l) != skip {
 						g.add(d, ir.Reg(l))
 					}
-				})
+				}
 			}
 			for _, d := range defs {
-				live.Clear(int(d))
+				live.Remove(int(d))
 			}
 			if in.Op != ir.OpEnter {
 				for _, a := range in.Args {
 					note(a)
-					live.Set(int(a))
+					live.Add(int(a))
 				}
 			}
 		}

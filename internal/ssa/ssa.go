@@ -102,7 +102,7 @@ func BuildWith(f *ir.Func, opt BuildOptions, ac *analysis.Cache) {
 				if placedAt[d.ID] == gen {
 					continue
 				}
-				if opt.Prune && !lv.LiveIn[d.ID].Has(int(v)) {
+				if opt.Prune && !lv.LiveInHas(d, v) {
 					continue
 				}
 				placedAt[d.ID] = gen
@@ -289,7 +289,7 @@ func DestructWith(f *ir.Func, ac *analysis.Cache) {
 			if t == s {
 				continue
 			}
-			if lv.LiveIn[t.ID].Has(int(d)) {
+			if lv.LiveInHas(t, d) {
 				return true
 			}
 			pi := t.PredIndex(p)
